@@ -40,7 +40,6 @@ from .freegroup import (
     benois_saturate,
     generated_subgroup,
     parse_group_word,
-    rational_intersection_nonempty,
     rational_membership,
     reduce_word,
     stallings_graph,

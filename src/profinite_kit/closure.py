@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from ._graph import explore, reachable
 from .errors import KitError, WordDomainError
 from . import languages
 from .languages import Dfa, Regex, dfa_to_regex, minimize_dfa
@@ -105,27 +106,13 @@ def positive_part_dfa(result: ClosureResult) -> Dfa:
     closure construction with its own output when testing idempotence.
     """
     matcher = result._matcher
-    alphabet = result.alphabet
-    start = matcher.start
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    k = 0
-    while k < len(order):
-        current = order[k]
-        row = []
-        for ch in alphabet:
-            nxt = matcher.step(current, (ch, 1))
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
-        k += 1
+    letters = [(ch, 1) for ch in result.alphabet]
+    order, rows = explore(
+        matcher.start, lambda states: [matcher.step(states, x) for x in letters])
     finals = frozenset(
         i for i, states in enumerate(order) if states & result.automaton.finals)
-    dfa = Dfa(n_states=len(order), alphabet=alphabet,
-              transition=tuple(tuple(r) for r in rows), initial=0, finals=finals)
+    dfa = Dfa(n_states=len(order), alphabet=result.alphabet,
+              transition=tuple(rows), initial=0, finals=finals)
     return minimize_dfa(dfa)
 
 
@@ -164,19 +151,12 @@ class SeparationCertificate:
 def _language_images(dfa: Dfa, group: FiniteSemigroup,
                      images: Mapping[str, int], identity: int) -> frozenset[int]:
     """All group images of accepted words, via product reachability."""
-    seen = {(dfa.initial, identity)}
-    stack = [(dfa.initial, identity)]
-    out = set()
-    while stack:
-        state, g = stack.pop()
-        if state in dfa.finals:
-            out.add(g)
-        for a, ch in enumerate(dfa.alphabet):
-            nxt = (dfa.transition[state][a], group.table[g][images[ch]])
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(out)
+    letter_images = [images[ch] for ch in dfa.alphabet]
+    # right[g][a] is g times the image of letter a
+    right = [[row[x] for x in letter_images] for row in group.table]
+    pairs = reachable([(dfa.initial, identity)],
+                      lambda pair: zip(dfa.transition[pair[0]], right[pair[1]]))
+    return frozenset(g for state, g in pairs if state in dfa.finals)
 
 
 def separation_certificate(word: str, r: Regex,
@@ -255,7 +235,7 @@ def kernel_g(m: FiniteSemigroup) -> KernelResult:
         if reason == "product":
             trace.append(("product", source[0], source[1], element))
         else:
-            a, b = pairs[int(reason.removeprefix("rule"))]
+            a, b = pairs[reason]
             trace.append(("conjugate", a, b, source, element))
     return KernelResult(monoid=m, kernel=kernel, trace=tuple(trace))
 
@@ -352,6 +332,8 @@ def g_pointlike(m: FiniteSemigroup, subset: Iterable[int],
     elements = sorted(set(subset))
     if not elements:
         raise KitError("pointlike queries need a nonempty subset")
+    for x in elements:
+        m.check_element(x)
     if morphism is None:
         morphism = canonical_monoid_morphism(m)
     automata = [
@@ -364,6 +346,7 @@ def g_pointlike(m: FiniteSemigroup, subset: Iterable[int],
 
 def inevitable_loop(m: FiniteSemigroup, y: int) -> bool:
     """One-vertex one-loop system xy = x, constrained to send y to `y`."""
+    m.check_element(y)
     return y in kernel_g(m).kernel
 
 

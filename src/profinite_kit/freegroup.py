@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
+from ._graph import explore, reachable
 from .errors import FoldingError, KitError, WordDomainError
 
 SignedLetter = tuple[str, int]
@@ -245,37 +246,8 @@ def _eps_closure_map(m: GroupAutomaton) -> list[frozenset[int]]:
     adj: list[list[int]] = [[] for _ in range(m.n_states)]
     for p, q in m.eps:
         adj[p].append(q)
-    out = []
-    for s in range(m.n_states):
-        seen = {s}
-        stack = [s]
-        while stack:
-            p = stack.pop()
-            for q in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        out.append(frozenset(seen))
-    return out
-
-
-def nfa_accepts(m: GroupAutomaton, w: GroupWord) -> bool:
-    """Literal acceptance of the signed word, using epsilon moves."""
-    closure = _eps_closure_map(m)
-    fwd, _ = _indexes(m)
-    current: set[int] = set()
-    for p in m.initials:
-        current |= closure[p]
-    for x in w:
-        nxt: set[int] = set()
-        table = fwd.get(x, {})
-        for p in current:
-            for q in table.get(p, ()):
-                nxt |= closure[q]
-        current = nxt
-        if not current:
-            return False
-    return bool(current & m.finals)
+    return [frozenset(reachable([s], adj.__getitem__)) if adj[s] else frozenset([s])
+            for s in range(m.n_states)]
 
 
 class ReducedWordMatcher:
@@ -319,7 +291,7 @@ def rational_membership(m: GroupAutomaton, w: GroupWord) -> bool:
         raise WordDomainError(f"word {format_group_word(w)} is not reduced")
     if m.folded:
         return subgroup_contains(m, w)
-    return nfa_accepts(benois_saturate(m), w)
+    return ReducedWordMatcher(m).accepts(w)
 
 
 def trim(m: GroupAutomaton) -> GroupAutomaton:
@@ -332,19 +304,7 @@ def trim(m: GroupAutomaton) -> GroupAutomaton:
     for p, q in m.eps:
         succ[p].append(q)
         pred[q].append(p)
-
-    def explore(starts, adj):
-        seen = set(starts)
-        stack = list(starts)
-        while stack:
-            p = stack.pop()
-            for q in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return seen
-
-    live = explore(m.initials, succ) & explore(m.finals, pred)
+    live = reachable(m.initials, succ.__getitem__) & reachable(m.finals, pred.__getitem__)
     if not live:
         return empty_automaton(m.alphabet)
     order = sorted(live)
@@ -450,29 +410,24 @@ class _Folder:
         self.fold()
         base = self.find(base)
         live = self.core(base)
+        letters = sorted({x for s in live for x in self.adj[s]}, key=letter_sort_key)
+
+        def successors(s: int) -> list[Optional[int]]:
+            # folding leaves at most one target per letter
+            out = []
+            for x in letters:
+                targets = self.adj[s].get(x)
+                q = self.find(next(iter(targets))) if targets else None
+                out.append(q if q in live else None)
+            return out
+
         # breadth-first renumbering from the base for reproducible output
-        order = [base]
-        index = {base: 0}
-        k = 0
-        while k < len(order):
-            s = order[k]
-            k += 1
-            for x in sorted(self.adj[s], key=letter_sort_key):
-                for q in sorted(self.find(t) for t in self.adj[s][x]):
-                    if q in live and q not in index:
-                        index[q] = len(order)
-                        order.append(q)
-        edges = set()
-        for s in order:
-            for x, targets in self.adj[s].items():
-                for t in targets:
-                    rt = self.find(t)
-                    if rt in index:
-                        edges.add((index[s], x, index[rt]))
+        order, rows = explore(base, successors)
         return GroupAutomaton(
             alphabet=tuple(sorted(alphabet)),
             n_states=len(order),
-            edges=frozenset(edges),
+            edges=frozenset((p, x, q) for p, row in enumerate(rows)
+                            for x, q in zip(letters, row) if q is not None),
             initials=frozenset([0]),
             finals=frozenset([0]),
             saturated=True,
@@ -549,32 +504,15 @@ def rational_intersection_witness(automata: Sequence[GroupAutomaton]
     broken toward the lexicographically least word (a+ < a- < b+ < ...).
     Returns None when the intersection is empty.
     """
-    sats = [benois_saturate(m) for m in automata]
-    closures = [_eps_closure_map(m) for m in sats]
-    tables = [_indexes(m)[0] for m in sats]
-
-    def close(i: int, states: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for p in states:
-            out |= closures[i][p]
-        return frozenset(out)
-
-    def advance(i: int, states: frozenset[int], x: SignedLetter) -> frozenset[int]:
-        table = tables[i].get(x, {})
-        nxt: set[int] = set()
-        for p in states:
-            for q in table.get(p, ()):
-                nxt |= closures[i][q]
-        return frozenset(nxt)
-
+    matchers = [ReducedWordMatcher(m) for m in automata]
     letters = sorted(
-        {x for m in sats for _, x, _ in m.edges} |
-        {inverse_letter(x) for m in sats for _, x, _ in m.edges},
+        {x for mt in matchers for _, x, _ in mt.automaton.edges} |
+        {inverse_letter(x) for mt in matchers for _, x, _ in mt.automaton.edges},
         key=letter_sort_key)
-    start = tuple(close(i, m.initials) for i, m in enumerate(sats))
+    start = tuple(mt.start for mt in matchers)
 
     def accepting(config) -> bool:
-        return all(states & m.finals for states, m in zip(config, sats))
+        return all(states & mt.automaton.finals for states, mt in zip(config, matchers))
 
     if accepting(start):
         return EPSILON_WORD
@@ -586,7 +524,7 @@ def rational_intersection_witness(automata: Sequence[GroupAutomaton]
         for x in letters:
             if last is not None and x == inverse_letter(last):
                 continue
-            nxt = tuple(advance(i, states, x) for i, states in enumerate(config))
+            nxt = tuple(mt.step(states, x) for mt, states in zip(matchers, config))
             if any(not states for states in nxt):
                 continue
             key = (nxt, x)
@@ -598,11 +536,6 @@ def rational_intersection_witness(automata: Sequence[GroupAutomaton]
                 return extended
             queue.append((nxt, x, extended))
     return None
-
-
-def rational_intersection_nonempty(m1: GroupAutomaton, m2: GroupAutomaton
-                                   ) -> Optional[GroupWord]:
-    return rational_intersection_witness([m1, m2])
 
 
 def reduced_words_of(m: GroupAutomaton, max_len: int,

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ._graph import explore, reachable
 from .errors import KitError, RegexSyntaxError, WordDomainError
 from .semigroups import FiniteSemigroup
 
@@ -284,39 +285,16 @@ def _determinize(n: int, eps, moves, initial: int, final: int,
     for p, ch, q in moves:
         move_map.setdefault((p, ch), []).append(q)
 
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        stack = list(states)
-        seen = set(states)
-        while stack:
-            p = stack.pop()
-            for q in eps_adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return frozenset(seen)
+    def closure(states: Iterable[int]) -> frozenset[int]:
+        return frozenset(reachable(states, eps_adj.__getitem__))
 
-    start = closure(frozenset([initial]))
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    k = 0
-    while k < len(order):
-        current = order[k]
-        row = []
-        for ch in alphabet:
-            nxt = closure(frozenset(
-                q for p in current for q in move_map.get((p, ch), ())))
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
-        k += 1
+    order, rows = explore(closure([initial]), lambda current: [
+        closure(q for p in current for q in move_map.get((p, ch), ())) for ch in alphabet])
     finals = frozenset(i for i, ss in enumerate(order) if final in ss)
     return Dfa(
         n_states=len(order),
         alphabet=tuple(alphabet),
-        transition=tuple(tuple(row) for row in rows),
+        transition=tuple(rows),
         initial=0,
         finals=finals,
     )
@@ -324,15 +302,7 @@ def _determinize(n: int, eps, moves, initial: int, final: int,
 
 def minimize_dfa(dfa: Dfa) -> Dfa:
     """Moore partition refinement on the reachable part; stays complete."""
-    reach = {dfa.initial}
-    stack = [dfa.initial]
-    while stack:
-        p = stack.pop()
-        for q in dfa.transition[p]:
-            if q not in reach:
-                reach.add(q)
-                stack.append(q)
-    states = sorted(reach)
+    states = sorted(reachable([dfa.initial], dfa.transition.__getitem__))
     block = {s: (s in dfa.finals) for s in states}
     while True:
         signature = {
@@ -370,14 +340,7 @@ def to_minimal_dfa(r: Regex, alphabet: Optional[Iterable[str]] = None) -> Dfa:
 
 def dfa_to_regex(dfa: Dfa) -> Regex:
     """Kleene state elimination over the reachable part of the automaton."""
-    reach = {dfa.initial}
-    stack = [dfa.initial]
-    while stack:
-        p = stack.pop()
-        for q in dfa.transition[p]:
-            if q not in reach:
-                reach.add(q)
-                stack.append(q)
+    reach = reachable([dfa.initial], dfa.transition.__getitem__)
     states = sorted(reach)
     # generalized NFA with fresh start/accept nodes
     start, accept = "start", "accept"

@@ -12,8 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -22,7 +20,6 @@ from .errors import KitError, MalformedTableError, UnsupportedOrderError
 Table = tuple[tuple[int, ...], ...]
 
 ENUMERATION_LIMIT = 4
-THREADS_ENV_VAR = "PROFINITE_KIT_THREADS"
 
 
 def _freeze_table(rows: Sequence[Sequence[int]]) -> Table:
@@ -49,6 +46,13 @@ def check_associativity(rows: Sequence[Sequence[int]]) -> bool:
                 if tab[c] != ta[tb[c]]:
                     return False
     return True
+
+
+def _check_index(value, n: int, what: str) -> int:
+    # JSON booleans are ints to Python, and floats would be truncated
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < n:
+        raise MalformedTableError(f"{what} {value!r} outside [0, {n})")
+    return value
 
 
 def _find_identity(table: Table) -> Optional[int]:
@@ -80,7 +84,7 @@ class FiniteSemigroup:
         if not check_associativity(self.table):
             raise MalformedTableError("table is not associative")
         if self.identity is not None:
-            e = self.identity
+            e = _check_index(self.identity, self.order, "identity")
             if not all(self.table[e][x] == x == self.table[x][e] for x in range(self.order)):
                 raise MalformedTableError(f"element {e} is not an identity")
         if self.labels is not None and len(self.labels) != self.order:
@@ -107,6 +111,10 @@ class FiniteSemigroup:
             labels=tuple(labels) if labels is not None else None,
             generators=frozenset(generators) if generators is not None else None,
         )
+
+    def check_element(self, x: int) -> None:
+        if not 0 <= x < self.order:
+            raise KitError(f"element {x} outside semigroup of order {self.order}")
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -169,19 +177,36 @@ class FiniteSemigroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteSemigroup":
+        """Strict reader: entries, identity and generators are in-range ints."""
         try:
             rows = data["table"]
             order = data["order"]
         except (KeyError, TypeError) as exc:
             raise MalformedTableError(f"missing field in semigroup JSON: {exc}") from exc
-        if len(rows) != order:
+        if not isinstance(rows, list):
+            raise MalformedTableError("table must be a list of rows")
+        if isinstance(order, bool) or not isinstance(order, int) or order != len(rows):
             raise MalformedTableError("declared order does not match the table")
-        return cls.from_table(
-            rows,
-            identity=data.get("identity"),
-            labels=data.get("labels"),
-            generators=data.get("generators"),
-        )
+        n = len(rows)
+        for row in rows:
+            if not isinstance(row, list) or len(row) != n:
+                raise MalformedTableError("table is not square")
+            for x in row:
+                _check_index(x, n, "entry")
+        identity = data.get("identity")
+        if identity is not None:
+            _check_index(identity, n, "identity")
+        generators = data.get("generators")
+        if generators is not None:
+            if not isinstance(generators, list):
+                raise MalformedTableError("generators must be a list")
+            for g in generators:
+                _check_index(g, n, "generator")
+        labels = data.get("labels")
+        if labels is not None and not (
+                isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise MalformedTableError("labels must be a list of strings")
+        return cls.from_table(rows, identity=identity, labels=labels, generators=generators)
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteSemigroup":
@@ -227,8 +252,7 @@ class MonogenicProfile:
 
 
 def monogenic_profile(s: FiniteSemigroup, x: int) -> MonogenicProfile:
-    if not 0 <= x < s.order:
-        raise KitError(f"element {x} outside semigroup of order {s.order}")
+    s.check_element(x)
     seen: dict[int, int] = {}
     powers = [x]
     seen[x] = 1
@@ -366,7 +390,8 @@ def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int],
     """Least superset of seed closed under the product and the given rules.
 
     Rules map an element to further elements that must be included.  When
-    `trace` is a list, every addition is appended as (new, reason, source).
+    `trace` is a list, every addition is appended as (new, reason, source),
+    where reason is "product" or the index of the rule that fired.
     """
     closed = set(seed)
     if not closed:
@@ -387,7 +412,7 @@ def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int],
                     closed.add(z)
                     work.append(z)
                     if trace is not None:
-                        trace.append((z, f"rule{rule_id}", x))
+                        trace.append((z, rule_id, x))
     return frozenset(closed)
 
 
@@ -395,7 +420,7 @@ def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int],
 # exhaustive enumeration of small semigroups
 
 
-def _search_tables(n: int, fixed_first_row: Optional[tuple[int, ...]] = None) -> list[Table]:
+def _search_tables(n: int) -> list[Table]:
     """Backtracking search for associative n-by-n tables.
 
     Cells are filled in row-major order; after each assignment only the
@@ -448,13 +473,6 @@ def _search_tables(n: int, fixed_first_row: Optional[tuple[int, ...]] = None) ->
         return True
 
     cells = [(i, j) for i in rng for j in rng]
-    start = 0
-    if fixed_first_row is not None:
-        for j, v in enumerate(fixed_first_row):
-            table[0][j] = v
-            if not consistent(0, j):
-                return []
-        start = n
 
     def fill(k: int):
         if k == len(cells):
@@ -467,17 +485,8 @@ def _search_tables(n: int, fixed_first_row: Optional[tuple[int, ...]] = None) ->
                 fill(k + 1)
         table[i][j] = -1
 
-    fill(start)
+    fill(0)
     return out
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise KitError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, count)
 
 
 @functools.lru_cache(maxsize=None)
@@ -485,15 +494,7 @@ def associative_tables(n: int) -> tuple[Table, ...]:
     """All associative tables on {0..n-1}, in search order."""
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise UnsupportedOrderError(f"enumeration supports orders 1..{ENUMERATION_LIMIT}")
-    threads = _thread_count()
-    if threads == 1 or n < 3:
-        return tuple(_search_tables(n))
-    first_rows = list(itertools.product(range(n), repeat=n))
-    results: list[Table] = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for chunk in pool.map(functools.partial(_search_tables, n), first_rows):
-            results.extend(chunk)
-    return tuple(results)
+    return tuple(_search_tables(n))
 
 
 def canonical_form(rows: Sequence[Sequence[int]]) -> Table:
@@ -531,8 +532,3 @@ def enumerate_semigroups(n: int, upto_iso: bool = True) -> Iterator[FiniteSemigr
     tables = _canonical_tables(n) if upto_iso else associative_tables(n)
     for table in tables:
         yield FiniteSemigroup.from_table(table)
-
-
-def all_semigroups_upto(max_order: int) -> Iterator[FiniteSemigroup]:
-    for n in range(1, max_order + 1):
-        yield from enumerate_semigroups(n)

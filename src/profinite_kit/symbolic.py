@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ._graph import explore
 from .errors import KitError, NonPrimitiveError, NotASubshiftError
 from .languages import Dfa, minimize_dfa
 
@@ -181,7 +182,10 @@ class SoficShift:
         return state in self.block_dfa.finals
 
 
-def _suffix_graph(dfa: Dfa):
+Rows = Sequence[Sequence[Optional[int]]]  # rows[node][letter], None for no move
+
+
+def _suffix_graph(dfa: Dfa) -> Rows:
     """Deterministic graph of the largest factorial sublanguage.
 
     A node is the set of states reached by running every suffix of the
@@ -189,35 +193,24 @@ def _suffix_graph(dfa: Dfa):
     when all extended suffixes stay accepting, i.e. every factor ending
     at the new position belongs to the language.
     """
-    start = frozenset([dfa.initial])
-    nodes = {start: 0}
-    order = [start]
-    edges: dict[int, dict[str, int]] = {}
-    k = 0
-    while k < len(order):
-        current = order[k]
-        edges[k] = {}
-        for a, ch in enumerate(dfa.alphabet):
+    def successors(current: frozenset[int]) -> list[Optional[frozenset[int]]]:
+        out = []
+        for a in range(len(dfa.alphabet)):
             stepped = frozenset(dfa.transition[s][a] for s in current)
-            if not stepped <= dfa.finals:
-                continue
-            nxt = stepped | {dfa.initial}
-            if nxt not in nodes:
-                nodes[nxt] = len(order)
-                order.append(nxt)
-            edges[k][ch] = nodes[nxt]
-        k += 1
-    return order, edges
+            out.append(stepped | {dfa.initial} if stepped <= dfa.finals else None)
+        return out
+
+    return explore(frozenset([dfa.initial]), successors)[1]
 
 
-def _biinfinite_trim(n_nodes: int, edges: dict[int, dict[str, int]]) -> set[int]:
-    live = set(range(n_nodes))
+def _biinfinite_trim(rows: Rows) -> set[int]:
+    live = set(range(len(rows)))
     changed = True
     while changed:
         changed = False
-        incoming = {q for p in live for q in edges[p].values() if q in live}
+        incoming = {q for p in live for q in rows[p] if q in live}
         for p in tuple(live):
-            has_out = any(q in live for q in edges[p].values())
+            has_out = any(q in live for q in rows[p])
             if not has_out or p not in incoming:
                 live.discard(p)
                 changed = True
@@ -225,43 +218,28 @@ def _biinfinite_trim(n_nodes: int, edges: dict[int, dict[str, int]]) -> set[int]
 
 
 def _determinize_graph(alphabet: Sequence[str], starts: frozenset[int],
-                       edges: dict[int, dict[str, int]],
+                       rows: Rows,
                        live: set[int]) -> Dfa:
     """Subset construction over the multi-start path graph; sink completes."""
-    start = frozenset(s for s in starts if s in live)
-    nodes = {start: 0}
-    order = [start]
-    rows = []
-    k = 0
-    while k < len(order):
-        current = order[k]
-        row = []
-        for ch in alphabet:
-            stepped = frozenset(
-                edges[p][ch] for p in current
-                if ch in edges[p] and edges[p][ch] in live)
-            if stepped not in nodes:
-                nodes[stepped] = len(order)
-                order.append(stepped)
-            row.append(nodes[stepped])
-        rows.append(row)
-        k += 1
+    letters = range(len(alphabet))
+    order, table = explore(starts & live, lambda current: [
+        frozenset(rows[p][a] for p in current) & live for a in letters])
     finals = frozenset(i for i, ss in enumerate(order) if ss)
     return Dfa(n_states=len(order), alphabet=tuple(alphabet),
-               transition=tuple(tuple(r) for r in rows), initial=0, finals=finals)
+               transition=tuple(table), initial=0, finals=finals)
 
 
 def factorial_trim(dfa: Dfa) -> SoficShift:
     """Extract the sofic shift presented by a candidate block language."""
     dfa = minimize_dfa(dfa)
-    order, edges = _suffix_graph(dfa)
-    live = _biinfinite_trim(len(order), edges)
+    rows = _suffix_graph(dfa)
+    live = _biinfinite_trim(rows)
     if not live:
         raise NotASubshiftError("no biinfinite paths: the language presents no subshift")
     node_ids = tuple(sorted(live))
     edge_list = tuple(sorted(
-        (p, ch, q) for p in node_ids for ch, q in edges[p].items() if q in live))
-    block_dfa = _determinize_graph(dfa.alphabet, frozenset(live), edges, live)
+        (p, ch, q) for p in node_ids for ch, q in zip(dfa.alphabet, rows[p]) if q in live))
+    block_dfa = _determinize_graph(dfa.alphabet, frozenset(live), rows, live)
     return SoficShift(
         alphabet=dfa.alphabet,
         presentation=dfa,
@@ -330,12 +308,12 @@ def is_irreducible(shift: SoficShift) -> bool:
     components = _strongly_connected_components(shift.nodes, succ)
     if len(components) == 1:
         return True
-    edges_by_node: dict[int, dict[str, int]] = {p: {} for p in shift.nodes}
+    rows: list[list[Optional[int]]] = [
+        [None] * len(shift.alphabet) for _ in range(max(shift.nodes) + 1)]
     for p, ch, q in shift.edges:
-        edges_by_node[p][ch] = q
+        rows[p][shift.alphabet.index(ch)] = q
     for comp in components:
-        comp_dfa = _determinize_graph(
-            shift.alphabet, frozenset(comp), edges_by_node, comp)
+        comp_dfa = _determinize_graph(shift.alphabet, frozenset(comp), rows, comp)
         if _covers(shift.block_dfa, comp_dfa):
             return True
     return False
@@ -390,28 +368,20 @@ def forbid_factor(shift: SoficShift, factor: str) -> SoficShift:
             candidate = candidate[1:]
         return 0
 
-    states: dict[tuple[int, int], int] = {(base.initial, 0): 0}
-    order = [(base.initial, 0)]
-    rows: list[list[int]] = []
-    sink: Optional[int] = None
-    k = 0
-    while k < len(order):
-        state, matched = order[k]
-        row = []
-        for a, ch in enumerate(base.alphabet):
-            t = base.transition[state][a]
+    sink = (-1, -1)  # joint sink, absorbing
+
+    def successors(key: tuple[int, int]) -> list[tuple[int, int]]:
+        if key == sink:
+            return [sink] * len(base.alphabet)
+        state, matched = key
+        out = []
+        for t, ch in zip(base.transition[state], base.alphabet):
             m2 = advance(matched, ch)
-            if t not in base.finals or m2 == len(factor):
-                key = (-1, -1)  # joint sink
-            else:
-                key = (t, m2)
-            if key not in states:
-                states[key] = len(order)
-                order.append(key)
-            row.append(states[key])
-        rows.append(row)
-        k += 1
-    finals = frozenset(i for i, key in enumerate(order) if key != (-1, -1))
+            out.append(sink if t not in base.finals or m2 == len(factor) else (t, m2))
+        return out
+
+    order, rows = explore((base.initial, 0), successors)
+    finals = frozenset(i for i, key in enumerate(order) if key != sink)
     pruned = Dfa(n_states=len(order), alphabet=base.alphabet,
-                 transition=tuple(tuple(r) for r in rows), initial=0, finals=finals)
+                 transition=tuple(rows), initial=0, finals=finals)
     return factorial_trim(pruned)

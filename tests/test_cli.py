@@ -112,6 +112,17 @@ class TestErrors:
         payload = json.loads(capsys.readouterr().out)
         assert "offset 2" in payload["data"]["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ["pointlike", "--table", C2, "--set", "9"],
+        ["inevitable", "--table", C2, "--system", "loop", "--y", "9"],
+        ["inevitable", "--table", C2, "--system", "two-vertex", "--targets", "0,9"],
+    ], ids=["pointlike", "inevitable_loop", "inevitable_two_vertex"])
+    def test_out_of_range_element_is_domain_error(self, argv, capsys):
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert "element 9" in payload["data"]["error"]
+
     def test_run_returns_command_result(self):
         result = run(["enumerate", "--order", "1", "--count-only"])
         assert isinstance(result, CommandResult)

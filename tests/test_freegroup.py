@@ -22,7 +22,6 @@ from profinite_kit.freegroup import (
     invert_word,
     parse_group_word,
     positive_word,
-    rational_intersection_nonempty,
     rational_intersection_witness,
     rational_membership,
     reduce_word,
@@ -190,18 +189,18 @@ class TestIntersections:
     def test_subgroups_share_identity(self):
         a = stallings_graph([positive_word("a")], "ab")
         b = stallings_graph([positive_word("b")], "ab")
-        assert rational_intersection_nonempty(a, b) == ()
+        assert rational_intersection_witness([a, b]) == ()
 
     def test_disjoint_singletons(self):
         a = word_automaton(positive_word("a"), "ab")
         b = word_automaton(positive_word("b"), "ab")
-        assert rational_intersection_nonempty(a, b) is None
+        assert rational_intersection_witness([a, b]) is None
 
     def test_subgroup_meets_finite_set(self):
         sub = stallings_graph([positive_word("aa")], "a")
         finite = automaton_union(word_automaton(positive_word("aaa"), "a"),
                                  word_automaton(positive_word("aaaa"), "a"))
-        assert rational_intersection_nonempty(sub, finite) == positive_word("aaaa")
+        assert rational_intersection_witness([sub, finite]) == positive_word("aaaa")
 
     def test_witness_is_shortest_lexicographic(self):
         # both subgroups contain b and ab'-style words; shortest wins, then lex

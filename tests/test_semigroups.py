@@ -208,18 +208,6 @@ class TestEnumeration:
         with pytest.raises(UnsupportedOrderError):
             list(enumerate_semigroups(5))
 
-    def test_parallel_partition_matches(self, monkeypatch):
-        from profinite_kit import semigroups as sg
-
-        sequential = sg.associative_tables(3)
-        monkeypatch.setenv(sg.THREADS_ENV_VAR, "2")
-        sg.associative_tables.cache_clear()
-        try:
-            assert sg.associative_tables(3) == sequential
-        finally:
-            monkeypatch.delenv(sg.THREADS_ENV_VAR)
-            sg.associative_tables.cache_clear()
-
 
 class TestJsonFormat:
     def test_round_trip(self):
@@ -242,6 +230,33 @@ class TestJsonFormat:
     def test_malformed_json(self):
         with pytest.raises(MalformedTableError):
             FiniteSemigroup.from_json("{not json")
+
+    @pytest.mark.parametrize("field,value", [
+        ("order", 2.0),
+        ("table", [[0, "x"], [1, 0]]),
+        ("table", [[0, None], [1, 0]]),
+        ("table", [[0, 1], [1, 0.7]]),
+        ("table", [[0, 1.7], [1, 0]]),
+        ("table", [[0, True], [1, 0]]),
+        ("table", [0, 1]),
+        ("identity", 7),
+        ("identity", False),
+        ("generators", [1.0]),
+        ("generators", 1),
+        ("labels", 5),
+    ], ids=["float_order", "string_entry", "null_entry", "float_entry_0.7", "float_entry_1.7",
+            "bool_entry", "row_not_a_list", "identity_out_of_range", "bool_identity",
+            "float_generator", "generators_not_a_list", "labels_not_a_list"])
+    def test_strict_entries(self, field, value):
+        data = {"order": 2, "table": [[0, 1], [1, 0]], "identity": 0,
+                "labels": None, "generators": None}
+        data[field] = value
+        with pytest.raises(MalformedTableError):
+            FiniteSemigroup.from_json_dict(data)
+
+    def test_identity_range_checked_on_construction(self):
+        with pytest.raises(MalformedTableError):
+            FiniteSemigroup.from_table([[0, 1], [1, 0]], identity=7)
 
 
 class TestMonoidHelpers:
