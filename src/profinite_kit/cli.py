@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", required=True)
     p.add_argument("--alphabet")
     p.add_argument("--certificate", action="store_true",
-                   help="search the groups of order <= 6 for a separating morphism")
+                   help="search the groups C1-C6 and S3 for a separating morphism")
     p.set_defaults(handler=_cmd_separate)
 
     p = sub.add_parser("kernel", help="group kernel of a finite monoid")

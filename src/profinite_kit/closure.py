@@ -24,14 +24,13 @@ from .freegroup import (
     GroupAutomaton,
     GroupWord,
     ReducedWordMatcher,
+    _intersection_witness,
     automaton_concat,
     automaton_union,
-    benois_saturate,
     empty_automaton,
     epsilon_automaton,
     generated_subgroup,
     positive_word,
-    rational_intersection_witness,
     trim,
     word_automaton,
 )
@@ -81,8 +80,8 @@ class ClosureResult:
         self.source_regex = source_regex
         self.alphabet = tuple(alphabet)
         raw = closure_automaton(source_regex, self.alphabet)
-        self.automaton = benois_saturate(trim(raw))
-        self._matcher = ReducedWordMatcher(self.automaton)
+        self._matcher = ReducedWordMatcher(trim(raw))
+        self.automaton = self._matcher.automaton
 
     def contains(self, w: GroupWord) -> bool:
         return self._matcher.accepts(w)
@@ -161,7 +160,7 @@ def _language_images(dfa: Dfa, group: FiniteSemigroup,
 
 def separation_certificate(word: str, r: Regex,
                            alphabet: Sequence[str]) -> Optional[SeparationCertificate]:
-    """Search the groups of order <= 6 for a morphism separating word from L."""
+    """Search C1-C6 and S3 for a morphism separating word from L."""
     dfa = languages.to_minimal_dfa(r, alphabet)
     for name, group in small_groups():
         identity = group.identity
@@ -336,11 +335,11 @@ def g_pointlike(m: FiniteSemigroup, subset: Iterable[int],
         m.check_element(x)
     if morphism is None:
         morphism = canonical_monoid_morphism(m)
-    automata = [
-        pro_g_closure(morphism.preimage_regex(x), morphism.alphabet).automaton
+    matchers = [
+        pro_g_closure(morphism.preimage_regex(x), morphism.alphabet)._matcher
         for x in elements
     ]
-    witness = rational_intersection_witness(automata)
+    witness = _intersection_witness(matchers)
     return witness is not None, witness
 
 

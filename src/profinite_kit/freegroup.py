@@ -504,7 +504,11 @@ def rational_intersection_witness(automata: Sequence[GroupAutomaton]
     broken toward the lexicographically least word (a+ < a- < b+ < ...).
     Returns None when the intersection is empty.
     """
-    matchers = [ReducedWordMatcher(m) for m in automata]
+    return _intersection_witness([ReducedWordMatcher(m) for m in automata])
+
+
+def _intersection_witness(matchers: Sequence[ReducedWordMatcher]) -> Optional[GroupWord]:
+    """`rational_intersection_witness` over matchers that are already built."""
     letters = sorted(
         {x for mt in matchers for _, x, _ in mt.automaton.edges} |
         {inverse_letter(x) for mt in matchers for _, x, _ in mt.automaton.edges},

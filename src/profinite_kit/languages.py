@@ -431,7 +431,7 @@ def transition_semigroup(dfa: Dfa, include_identity: bool = False
                 index[prod] = len(elements)
                 elements.append(prod)
                 frontier.append(prod)
-    rows = [[index[_compose(a, b)] for b in elements] for a in elements]
+    rows = tuple(tuple(index[_compose(a, b)] for b in elements) for a in elements)
     semigroup = FiniteSemigroup.from_table(rows)
     morphism = Morphism(
         alphabet=dfa.alphabet,

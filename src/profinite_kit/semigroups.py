@@ -12,9 +12,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from ._graph import scc
 from .errors import KitError, MalformedTableError, UnsupportedOrderError
 
 Table = tuple[tuple[int, ...], ...]
@@ -23,28 +25,63 @@ ENUMERATION_LIMIT = 4
 
 
 def _freeze_table(rows: Sequence[Sequence[int]]) -> Table:
+    """The rows as a tuple of int tuples; a table already in that form is kept."""
+    if type(rows) is tuple and all(
+            type(row) is tuple and {*map(type, row)} <= {int} for row in rows):
+        return rows
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
+def _greedy_generators(table: Sequence[Sequence[int]]) -> list[int]:
+    """Generators picked in index order by walking the right Cayley graph.
+
+    An element that no left-normed product ((g1 g2) ... ) gk of the
+    generators found so far reaches becomes the next generator, so every
+    element is such a product.  That needs no associativity.  On a
+    transition semigroup the picks are the letter images, plus the
+    identity when it is adjoined.
+    """
+    n = len(table)
+    gens: list[int] = []
+    reached = [False] * n
+    walked: list[int] = []
+    for g in range(n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        # g itself and x*g for every x reached before g joined the generators
+        stack = [g] + [table[x][g] for x in walked]
+        while stack:
+            y = stack.pop()
+            if not reached[y]:
+                reached[y] = True
+                walked.append(y)
+                ty = table[y]
+                stack.extend(ty[h] for h in gens)
+    return gens
+
+
 def check_associativity(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff the square table with in-range entries is associative."""
+    """True iff the square table with in-range entries is associative.
+
+    Light's test: with every element a left-normed product of generators,
+    the table is associative once (x*a)*y == x*(a*y) for each generator a
+    and all x, y.  That costs O(n^2 |gens|) instead of O(n^3).
+    """
     n = len(rows)
-    table = _freeze_table(rows)
-    for row in table:
+    for row in rows:
         if len(row) != n:
             raise MalformedTableError("table is not square")
-        for x in row:
-            if not 0 <= x < n:
-                raise MalformedTableError(f"entry {x} outside [0, {n})")
-    rng = range(n)
-    for a in rng:
-        ta = table[a]
-        for b in rng:
-            tab = table[ta[b]]
-            tb = table[b]
-            for c in rng:
-                if tab[c] != ta[tb[c]]:
-                    return False
+        if min(row) < 0 or max(row) >= n:
+            bad = next(x for x in row if not 0 <= x < n)
+            raise MalformedTableError(f"entry {bad} outside [0, {n})")
+    if n == 1:
+        return True  # [[0]]; itemgetter below needs two or more columns
+    for a in _greedy_generators(rows):
+        x_times_ay = operator.itemgetter(*rows[a])  # row x -> (x*(a*y) for every y)
+        for tx in rows:
+            if tuple(rows[tx[a]]) != x_times_ay(tx):
+                return False
     return True
 
 
@@ -115,9 +152,6 @@ class FiniteSemigroup:
     def check_element(self, x: int) -> None:
         if not 0 <= x < self.order:
             raise KitError(f"element {x} outside semigroup of order {self.order}")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
 
     def product(self, elements: Iterable[int]) -> int:
         it = iter(elements)
@@ -322,24 +356,42 @@ def _partition_from_keys(keys: list) -> tuple[tuple[int, ...], ...]:
 
 
 def green_relations(s: FiniteSemigroup) -> GreenData:
-    """Green's relations computed from principal ideals in S^1."""
-    m = monoid_of(s)
+    """Green's relations from the Cayley graphs over a generating set.
+
+    y lies in xS^1 exactly when the right Cayley graph x -> xa has a path
+    from x to y, so the R-classes are its strongly connected components.
+    L and J come likewise from the left graph and from the union of both
+    (J = D in a finite semigroup), H is R meet L, and the J-order is
+    reachability between J-components.
+    """
+    t = s.table
     n = s.order
-    rng1 = range(m.order)
-    right = [frozenset(m.table[x][y] for y in rng1) for x in range(n)]
-    left = [frozenset(m.table[y][x] for y in rng1) for x in range(n)]
-    two = [frozenset(m.table[m.table[y][x]][z] for y in rng1 for z in rng1)
-           for x in range(n)]
-    r_classes = _partition_from_keys(right)
-    l_classes = _partition_from_keys(left)
-    j_classes = _partition_from_keys(two)
-    h_classes = _partition_from_keys(list(zip(right, left)))
-    order = set()
-    for i, ci in enumerate(j_classes):
-        for j, cj in enumerate(j_classes):
-            if two[ci[0]] <= two[cj[0]]:
-                order.add((i, j))
-    return GreenData(r_classes, l_classes, j_classes, h_classes, frozenset(order))
+    gens = _greedy_generators(t)
+    right = [[tx[a] for a in gens] for tx in t]
+    left = [[t[a][x] for a in gens] for x in range(n)]
+    both = [r + l for r, l in zip(right, left)]
+    r_comp = scc(n, right.__getitem__)
+    l_comp = scc(n, left.__getitem__)
+    j_comp = scc(n, both.__getitem__)
+    j_classes = _partition_from_keys(j_comp)
+    # below[c] is the bitset of the components reachable from c.  Tarjan
+    # numbers a component after every one it reaches, so a pass in
+    # component order reads only finished sets.
+    below = [1 << c for c in range(len(j_classes))]
+    for x in sorted(range(n), key=j_comp.__getitem__):
+        for y in both[x]:
+            below[j_comp[x]] |= below[j_comp[y]]
+    comps = [j_comp[cls[0]] for cls in j_classes]
+    order = frozenset(
+        (i, j) for j, cj in enumerate(comps) for i, ci in enumerate(comps)
+        if below[cj] >> ci & 1)
+    return GreenData(
+        r_classes=_partition_from_keys(r_comp),
+        l_classes=_partition_from_keys(l_comp),
+        j_classes=j_classes,
+        h_classes=_partition_from_keys(list(zip(r_comp, l_comp))),
+        j_order=order,
+    )
 
 
 @dataclass(frozen=True)
@@ -527,8 +579,15 @@ def _canonical_tables(n: int) -> tuple[Table, ...]:
     return tuple(ordered)
 
 
-def enumerate_semigroups(n: int, upto_iso: bool = True) -> Iterator[FiniteSemigroup]:
-    """Stream the semigroups of order n, one per isomorphism class by default."""
+@functools.lru_cache(maxsize=None)
+def _semigroups(n: int, upto_iso: bool) -> tuple[FiniteSemigroup, ...]:
     tables = _canonical_tables(n) if upto_iso else associative_tables(n)
-    for table in tables:
-        yield FiniteSemigroup.from_table(table)
+    return tuple(FiniteSemigroup.from_table(table) for table in tables)
+
+
+def enumerate_semigroups(n: int, upto_iso: bool = True) -> Iterator[FiniteSemigroup]:
+    """Stream the semigroups of order n, one per isomorphism class by default.
+
+    The frozen objects are built once per (n, upto_iso) and shared.
+    """
+    yield from _semigroups(n, upto_iso)

@@ -10,11 +10,11 @@ exactly the block language of the shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ._graph import explore
+from ._graph import explore, scc
 from .errors import KitError, NonPrimitiveError, NotASubshiftError
 from .languages import Dfa, minimize_dfa
 
@@ -249,52 +249,6 @@ def factorial_trim(dfa: Dfa) -> SoficShift:
     )
 
 
-def _strongly_connected_components(nodes: Iterable[int],
-                                   succ: dict[int, set[int]]) -> list[set[int]]:
-    # Kosaraju on the small presentation graphs handled here
-    nodes = list(nodes)
-    pred: dict[int, set[int]] = {p: set() for p in nodes}
-    for p in nodes:
-        for q in succ[p]:
-            pred[q].add(p)
-    seen: set[int] = set()
-    post: list[int] = []
-    for root in nodes:
-        if root in seen:
-            continue
-        stack = [(root, iter(sorted(succ[root])))]
-        seen.add(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for q in it:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append((q, iter(sorted(succ[q]))))
-                    advanced = True
-                    break
-            if not advanced:
-                post.append(node)
-                stack.pop()
-    components = []
-    assigned: set[int] = set()
-    for root in reversed(post):
-        if root in assigned:
-            continue
-        comp = {root}
-        stack = [root]
-        assigned.add(root)
-        while stack:
-            node = stack.pop()
-            for q in pred[node]:
-                if q not in assigned:
-                    assigned.add(q)
-                    comp.add(q)
-                    stack.append(q)
-        components.append(comp)
-    return components
-
-
 def is_irreducible(shift: SoficShift) -> bool:
     """Does one strongly connected component carry the whole block language?
 
@@ -302,18 +256,18 @@ def is_irreducible(shift: SoficShift) -> bool:
     with transient presentation states (such as the even shift) need the
     weaker test that some component's path language covers every block.
     """
-    succ: dict[int, set[int]] = {p: set() for p in shift.nodes}
-    for p, _ch, q in shift.edges:
-        succ[p].add(q)
-    components = _strongly_connected_components(shift.nodes, succ)
-    if len(components) == 1:
-        return True
-    rows: list[list[Optional[int]]] = [
-        [None] * len(shift.alphabet) for _ in range(max(shift.nodes) + 1)]
+    n = max(shift.nodes) + 1
+    rows: list[list[Optional[int]]] = [[None] * len(shift.alphabet) for _ in range(n)]
     for p, ch, q in shift.edges:
         rows[p][shift.alphabet.index(ch)] = q
-    for comp in components:
-        comp_dfa = _determinize_graph(shift.alphabet, frozenset(comp), rows, comp)
+    comp = scc(n, lambda p: [q for q in rows[p] if q is not None])
+    components: dict[int, set[int]] = {}
+    for p in shift.nodes:
+        components.setdefault(comp[p], set()).add(p)
+    if len(components) == 1:
+        return True
+    for members in components.values():
+        comp_dfa = _determinize_graph(shift.alphabet, frozenset(members), rows, members)
         if _covers(shift.block_dfa, comp_dfa):
             return True
     return False

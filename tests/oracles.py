@@ -1,0 +1,53 @@
+"""Slow, plainly correct twins of the library's fast algorithms.
+
+Each oracle follows its definition directly, so the differential tests can
+compare the Cayley-graph code against it.  They cost O(n^3) on an n-element
+table; keep their inputs at order 120 or below.
+"""
+
+from profinite_kit._graph import reachable
+from profinite_kit.semigroups import GreenData, _partition_from_keys, monoid_of
+
+
+def associative_by_triples(rows):
+    """(a*b)*c == a*(b*c) for every triple of a square in-range table."""
+    rng = range(len(rows))
+    for a in rng:
+        ta = rows[a]
+        for b in rng:
+            tab = rows[ta[b]]
+            tb = rows[b]
+            for c in rng:
+                if tab[c] != ta[tb[c]]:
+                    return False
+    return True
+
+
+def green_by_ideals(s):
+    """Green's relations from the principal right, left and two-sided ideals of S^1."""
+    m = monoid_of(s)
+    n = s.order
+    rng1 = range(m.order)
+    right = [frozenset(m.table[x][y] for y in rng1) for x in range(n)]
+    left = [frozenset(m.table[y][x] for y in rng1) for x in range(n)]
+    two = [frozenset(m.table[m.table[y][x]][z] for y in rng1 for z in rng1)
+           for x in range(n)]
+    j_classes = _partition_from_keys(two)
+    order = frozenset(
+        (i, j)
+        for i, ci in enumerate(j_classes)
+        for j, cj in enumerate(j_classes)
+        if two[ci[0]] <= two[cj[0]])
+    return GreenData(
+        r_classes=_partition_from_keys(right),
+        l_classes=_partition_from_keys(left),
+        j_classes=j_classes,
+        h_classes=_partition_from_keys(list(zip(right, left))),
+        j_order=order,
+    )
+
+
+def components_by_reachability(n, successors):
+    """Strongly connected components as a set of frozensets, by mutual reachability."""
+    reach = [reachable([v], successors) for v in range(n)]
+    return {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}

@@ -16,6 +16,7 @@ from conftest import (
     subgroup_ball,
     words_upto,
 )
+from oracles import associative_by_triples
 from profinite_kit.closure import (
     kernel_g,
     kernel_via_closure,
@@ -44,7 +45,6 @@ from profinite_kit.metric import separation_rank
 from profinite_kit.semigroups import (
     adjoin_identity,
     canonical_form,
-    check_associativity,
     enumerate_semigroups,
     monogenic_profile,
     structural_predicates,
@@ -111,7 +111,7 @@ def test_criterion_3_enumeration_regression():
             for values in itertools.product(range(n), repeat=n * n)
             for table in [tuple(tuple(values[i * n + j] for j in range(n))
                                 for i in range(n))]
-            if check_associativity(table)
+            if associative_by_triples(table)
         ]
         classes = {canonical_form(t) for t in naive}
         if len(classes) != iso_count:
