@@ -1,32 +1,32 @@
 """Pro-group closures of regular languages, group kernels and pointlikes.
 
-The closure of a regular language inside the free group is computed by
-structural recursion on a regular expression, replacing the plus/star of
-a subset by the subgroup it generates.  Membership of the empty word in
-such closures yields the group kernel of a finite monoid, which is also
-computed directly as the weak-conjugation closure of the idempotents;
-the two routes must agree and that agreement is the central test of this
-module.
+A regular expression's closure in the free group replaces each plus/star
+by the subgroup it generates.  Products of finitely generated subgroups are
+closed (M. Hall; Ribes and Zalesskii), so kernels and pointlikes read one
+graph per morphism: the right Cayley graph with each edge inside a strongly
+connected component also inverted.  The kernel is also the weak-conjugation
+closure of the idempotents; the two routes must agree.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ._graph import explore, reachable
+from ._graph import reachable, scc
 from .errors import KitError, WordDomainError
 from . import languages
 from .languages import Dfa, Regex, dfa_to_regex, minimize_dfa
 from .freegroup import (
-    EPSILON_WORD,
     GroupAutomaton,
     GroupWord,
     ReducedWordMatcher,
     _intersection_witness,
     automaton_concat,
     automaton_union,
+    benois_saturate,
     empty_automaton,
     epsilon_automaton,
     generated_subgroup,
@@ -34,7 +34,7 @@ from .freegroup import (
     trim,
     word_automaton,
 )
-from .semigroups import FiniteSemigroup, subsemigroup_closure
+from .semigroups import FiniteSemigroup, _greedy_generators, subsemigroup_closure
 from .kappa import PseudovarietyDef, member
 
 
@@ -96,23 +96,6 @@ def pro_g_closure(r: Regex, alphabet: Optional[Iterable[str]] = None) -> Closure
     letters = tuple(sorted(
         frozenset(alphabet) if alphabet is not None else languages.regex_letters(r)))
     return ClosureResult(r, letters)
-
-
-def positive_part_dfa(result: ClosureResult) -> Dfa:
-    """Deterministic automaton of clos(L) intersected with A*.
-
-    Materializes what `contains_word` answers lazily; used to feed the
-    closure construction with its own output when testing idempotence.
-    """
-    matcher = result._matcher
-    letters = [(ch, 1) for ch in result.alphabet]
-    order, rows = explore(
-        matcher.start, lambda states: [matcher.step(states, x) for x in letters])
-    finals = frozenset(
-        i for i, states in enumerate(order) if states & result.automaton.finals)
-    dfa = Dfa(n_states=len(order), alphabet=result.alphabet,
-              transition=tuple(rows), initial=0, finals=finals)
-    return minimize_dfa(dfa)
 
 
 # ---------------------------------------------------------------------------
@@ -256,68 +239,70 @@ class MonoidMorphism:
     def __post_init__(self):
         if self.monoid.identity is None:
             raise KitError("codomain must be a monoid")
-        hit = subsemigroup_closure(
-            self.monoid, frozenset(self.letter_image) | {self.monoid.identity})
-        if hit != frozenset(range(self.monoid.order)):
+        for x in self.letter_image:
+            self.monoid.check_element(x)
+        if len(reachable([self.monoid.identity], self.rows.__getitem__)) != self.monoid.order:
             raise KitError("morphism is not onto the monoid")
 
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Right Cayley rows: rows[s][i] is s times the image of letter i."""
+        return tuple(tuple(row[img] for img in self.letter_image)
+                     for row in self.monoid.table)
+
+    @cached_property
+    def closure_graph(self) -> GroupAutomaton:
+        """Saturated Cayley graph from 1 with each edge inside an SCC also
+        inverted; with final states {x} it accepts the closure of x's preimage."""
+        component = scc(self.monoid.order, self.rows.__getitem__)
+        edges = {(p, (ch, 1), q)
+                 for p, row in enumerate(self.rows) for ch, q in zip(self.alphabet, row)}
+        edges |= {(q, (ch, -1), p) for p, (ch, _), q in edges if component[p] == component[q]}
+        return benois_saturate(GroupAutomaton(
+            alphabet=tuple(sorted(self.alphabet)), n_states=self.monoid.order,
+            edges=frozenset(edges), initials=frozenset([self.monoid.identity]),
+            finals=frozenset()))
+
     def image_of_word(self, word: str) -> int:
-        e = self.monoid.identity
-        assert e is not None
-        acc = e
+        acc = self.monoid.identity
         for ch in word:
             try:
-                acc = self.monoid.table[acc][self.letter_image[self.alphabet.index(ch)]]
+                acc = self.rows[acc][self.alphabet.index(ch)]
             except ValueError:
                 raise WordDomainError(f"letter {ch!r} outside {self.alphabet}") from None
         return acc
 
     def preimage_dfa(self, element: int) -> Dfa:
         """Right-Cayley automaton accepting the words that map to `element`."""
-        rows = [
-            [self.monoid.table[s][img] for img in self.letter_image]
-            for s in range(self.monoid.order)
-        ]
-        assert self.monoid.identity is not None
-        return minimize_dfa(Dfa(
-            n_states=self.monoid.order,
-            alphabet=self.alphabet,
-            transition=tuple(tuple(r) for r in rows),
-            initial=self.monoid.identity,
-            finals=frozenset([element]),
-        ))
+        return minimize_dfa(Dfa(self.monoid.order, self.alphabet, self.rows,
+                                self.monoid.identity, frozenset([element])))
 
     def preimage_regex(self, element: int) -> Regex:
         return dfa_to_regex(self.preimage_dfa(element))
 
 
 def canonical_monoid_morphism(m: FiniteSemigroup) -> MonoidMorphism:
-    """One letter per non-identity element, in element order."""
-    if m.identity is None:
-        raise KitError("the canonical generating morphism needs a monoid")
-    elements = [x for x in range(m.order) if x != m.identity]
-    if len(elements) > len(_LETTERS):
-        raise KitError("monoid too large for the canonical letter supply")
-    return MonoidMorphism(
-        alphabet=tuple(_LETTERS[: len(elements)]),
-        monoid=m,
-        letter_image=tuple(elements),
-    )
+    """One letter per non-identity generator of the greedy generating set."""
+    gens = [g for g in _greedy_generators(m.table) if g != m.identity]
+    if len(gens) > len(_LETTERS):
+        raise KitError(f"{len(gens)} generators exceed the canonical letter supply")
+    return MonoidMorphism(tuple(_LETTERS[: len(gens)]), m, tuple(gens))
+
+
+def _morphism_onto(m: FiniteSemigroup, morphism: Optional[MonoidMorphism]) -> MonoidMorphism:
+    """The given morphism, which must map onto m, or the canonical one."""
+    if morphism is None:
+        return canonical_monoid_morphism(m)
+    if morphism.monoid is not m and morphism.monoid != m:
+        raise KitError("morphism codomain differs from the given monoid")
+    return morphism
 
 
 def kernel_via_closure(m: FiniteSemigroup,
                        morphism: Optional[MonoidMorphism] = None) -> frozenset[int]:
     """Elements whose preimage language has the empty word in its closure."""
-    if morphism is None:
-        morphism = canonical_monoid_morphism(m)
-    if morphism.monoid is not m and morphism.monoid != m:
-        raise KitError("morphism codomain differs from the given monoid")
-    kernel = set()
-    for x in range(m.order):
-        clos = pro_g_closure(morphism.preimage_regex(x), morphism.alphabet)
-        if clos.contains(EPSILON_WORD):
-            kernel.add(x)
-    return frozenset(kernel)
+    eps = _morphism_onto(m, morphism).closure_graph.eps
+    return frozenset([m.identity]) | {q for p, q in eps if p == m.identity}
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +318,9 @@ def g_pointlike(m: FiniteSemigroup, subset: Iterable[int],
         raise KitError("pointlike queries need a nonempty subset")
     for x in elements:
         m.check_element(x)
-    if morphism is None:
-        morphism = canonical_monoid_morphism(m)
-    matchers = [
-        pro_g_closure(morphism.preimage_regex(x), morphism.alphabet)._matcher
-        for x in elements
-    ]
-    witness = _intersection_witness(matchers)
+    graph = _morphism_onto(m, morphism).closure_graph
+    witness = _intersection_witness(
+        [ReducedWordMatcher(replace(graph, finals=frozenset([x]))) for x in elements])
     return witness is not None, witness
 
 

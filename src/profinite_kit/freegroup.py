@@ -86,8 +86,8 @@ def format_group_word(w: GroupWord) -> str:
 class GroupAutomaton:
     """Automaton over signed letters, with optional epsilon edges.
 
-    `saturated` means the Benois closure rule adds no further epsilon
-    edges, so a reduced word lies in the reduced language iff the literal
+    `saturated`: the epsilon edges are transitively closed and Benois adds
+    none, so a reduced word lies in the reduced language iff the literal
     word is accepted.  `folded` marks deterministic inverse-closed
     subgroup graphs whose single base state is both initial and final.
     """
@@ -259,7 +259,9 @@ class ReducedWordMatcher:
 
     def __init__(self, m: GroupAutomaton):
         self.automaton = benois_saturate(m)
-        self._closure = _eps_closure_map(self.automaton)
+        self._closure = [{s} for s in range(self.automaton.n_states)]
+        for p, q in self.automaton.eps:  # saturated eps edges are transitive
+            self._closure[p].add(q)
         self._fwd, _ = _indexes(self.automaton)
         start: set[int] = set()
         for p in self.automaton.initials:

@@ -16,11 +16,10 @@ from conftest import (
     subgroup_ball,
     words_upto,
 )
-from oracles import associative_by_triples
+from oracles import associative_by_triples, positive_part_dfa
 from profinite_kit.closure import (
     kernel_g,
     kernel_via_closure,
-    positive_part_dfa,
     pro_g_closure,
     separation_certificate,
 )

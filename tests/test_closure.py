@@ -1,9 +1,16 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from conftest import regex_corpus, words_upto
+from oracles import (
+    kernel_by_preimage_closures,
+    pointlike_by_preimage_closures,
+    positive_part_dfa,
+)
+from profinite_kit.cli import main
 from profinite_kit.errors import KitError
 from profinite_kit.closure import (
     MonoidMorphism,
@@ -14,7 +21,6 @@ from profinite_kit.closure import (
     kernel_g,
     kernel_via_closure,
     malcev_membership,
-    positive_part_dfa,
     pro_g_closure,
     separable_by_group_language,
     separation_certificate,
@@ -25,8 +31,10 @@ from profinite_kit.kappa import lookup, member
 from profinite_kit.languages import dfa_to_regex, parse_regex, syntactic_semigroup
 from profinite_kit.semigroups import (
     FiniteSemigroup,
+    _greedy_generators,
     adjoin_identity,
     enumerate_semigroups,
+    monoid_of,
     structural_predicates,
 )
 
@@ -34,6 +42,29 @@ C2 = FiniteSemigroup.from_table([[0, 1], [1, 0]])
 C3 = FiniteSemigroup.from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 U1 = FiniteSemigroup.from_table([[0, 1], [1, 1]])  # {1, 0}
 B21 = syntactic_semigroup(parse_regex("(ab)*", "ab")).semigroup
+ANCHOR_113 = monoid_of(syntactic_semigroup(parse_regex("(ab|ba)*(aa|b)*", "ab")).semigroup)
+
+
+def small_monoids():
+    """S^1 of every semigroup of order <= 4, and S itself when it is a monoid."""
+    out = []
+    for n in range(1, 5):
+        for s in enumerate_semigroups(n):
+            out.append(adjoin_identity(s))
+            if s.identity is not None:
+                out.append(s)
+    return out
+
+
+def corpus_morphisms(count=60, seed=53, max_order=12):
+    """Syntactic monoids of the regex corpus with their two-letter morphisms."""
+    out = []
+    for r in regex_corpus(count, seed=seed):
+        syntactic = syntactic_semigroup(r, "ab")
+        m = monoid_of(syntactic.semigroup)
+        if m.order <= max_order:
+            out.append((m, MonoidMorphism(("a", "b"), m, syntactic.morphism.letter_image)))
+    return out
 
 
 class TestProGClosure:
@@ -181,6 +212,38 @@ class TestKernelViaClosure:
         with pytest.raises(KitError):
             MonoidMorphism(alphabet=("a",), monoid=B21, letter_image=(B21.identity,))
 
+    def test_rejects_out_of_range_letter_image(self):
+        with pytest.raises(KitError):
+            MonoidMorphism(alphabet=("a",), monoid=C2, letter_image=(2,))
+
+    def test_rejects_morphism_onto_another_monoid(self):
+        with pytest.raises(KitError):
+            kernel_via_closure(C2, canonical_monoid_morphism(U1))
+
+    def test_matches_regex_route_on_small_monoids(self):
+        monoids = small_monoids()
+        assert len(monoids) == 263
+        for m in monoids:
+            kernel = kernel_via_closure(m)
+            assert kernel == kernel_by_preimage_closures(m), m.table
+            assert kernel == kernel_g(m).kernel, m.table
+
+    def test_matches_regex_route_under_two_letter_morphisms(self):
+        for m, morphism in corpus_morphisms():
+            assert kernel_via_closure(m, morphism) == \
+                kernel_by_preimage_closures(m, morphism), m.table
+
+    def test_beyond_the_letter_supply(self):
+        # 112 non-identity elements, two greedy generators
+        assert ANCHOR_113.order > 37
+        assert kernel_via_closure(ANCHOR_113) == kernel_g(ANCHOR_113).kernel
+
+    def test_too_many_generators_rejected(self):
+        # the left-zero semigroup on 37 elements is generated by nothing smaller
+        left_zero = adjoin_identity(FiniteSemigroup.from_table([[a] * 37 for a in range(37)]))
+        with pytest.raises(KitError, match="37 generators"):
+            kernel_via_closure(left_zero)
+
 
 class TestPointlike:
     def test_singletons_always_pointlike(self):
@@ -208,6 +271,41 @@ class TestPointlike:
     def test_empty_subset_rejected(self):
         with pytest.raises(KitError):
             g_pointlike(C2, set())
+
+    def test_rejects_morphism_onto_another_monoid(self):
+        # C2 and U1 have the same order, so every element is in range for both
+        u1_morphism = canonical_monoid_morphism(U1)
+        with pytest.raises(KitError):
+            g_pointlike(C2, {0, 1}, u1_morphism)
+        with pytest.raises(KitError):
+            inevitable_two_vertex(C2, C2.identity, {0, 1}, u1_morphism)
+
+    def test_matches_regex_route_on_small_monoids(self):
+        subsets = [(m, subset) for m in small_monoids() if m.order <= 4
+                   for size in (2, 3) for subset in itertools.combinations(range(m.order), size)]
+        assert len(subsets) == 641
+        for m, subset in subsets:
+            assert g_pointlike(m, subset) == pointlike_by_preimage_closures(m, subset), \
+                (m.table, subset)
+
+    def test_witnesses_match_regex_route(self):
+        queries = 0
+        for m, morphism in corpus_morphisms():
+            for subset in itertools.combinations(range(m.order), 2):
+                assert g_pointlike(m, subset, morphism) == \
+                    pointlike_by_preimage_closures(m, subset, morphism), (m.table, subset)
+                queries += 1
+        assert queries > 300
+
+    @pytest.mark.parametrize("argv", [
+        ["pointlike", "--set", "0,5,7"],
+        ["inevitable", "--system", "two-vertex", "--targets", "0,5"],
+    ], ids=["pointlike", "two_vertex"])
+    def test_cli_beyond_the_letter_supply(self, argv, tmp_path, capsys):
+        table = tmp_path / "anchor.json"
+        table.write_text(json.dumps(ANCHOR_113.to_json_dict()))
+        assert main(argv + ["--table", str(table)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
 
 class TestInevitability:
@@ -254,10 +352,16 @@ class TestMalcev:
 
 class TestCanonicalMorphism:
     def test_covers_monoid(self):
-        morphism = canonical_monoid_morphism(B21)
-        images = {morphism.image_of_word(ch) for ch in morphism.alphabet}
-        assert images == set(range(B21.order)) - {B21.identity}
-        assert morphism.image_of_word("") == B21.identity
+        for m in (B21, ANCHOR_113, *small_monoids()):
+            morphism = canonical_monoid_morphism(m)
+            images = [morphism.image_of_word(ch) for ch in morphism.alphabet]
+            assert images == [g for g in _greedy_generators(m.table) if g != m.identity]
+            assert morphism.image_of_word("") == m.identity
+            if m.order <= 5:
+                # every element is a product of at most order - 1 generators
+                reached = {morphism.image_of_word(w)
+                           for w in words_upto(morphism.alphabet, m.order - 1)}
+                assert reached == set(range(m.order)), m.table
 
     def test_preimage_dfa_accepts_matching_words(self):
         morphism = canonical_monoid_morphism(B21)

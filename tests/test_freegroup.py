@@ -12,6 +12,7 @@ from profinite_kit.errors import FoldingError, WordDomainError
 from profinite_kit.freegroup import (
     GroupAutomaton,
     ReducedWordMatcher,
+    _eps_closure_map,
     automaton_concat,
     automaton_invert,
     automaton_star,
@@ -122,6 +123,17 @@ class TestSaturation:
         m = word_automaton(positive_word("a"), "ab")
         with pytest.raises(WordDomainError):
             rational_membership(m, (("a", 1), ("a", -1)))
+
+    def test_direct_closures_match_walk(self):
+        # saturated epsilon edges are transitively closed, so one hop suffices
+        rng = random.Random(1001)
+        chained = 0
+        for _ in range(300):
+            m = benois_saturate(random_group_automaton(rng, max_states=5, max_edges=8))
+            walked = _eps_closure_map(m)
+            assert ReducedWordMatcher(m)._closure == walked, (m.edges, m.eps)
+            chained += any(len(states) > 2 for states in walked)
+        assert chained > 10
 
     def test_oracle_agreement_random(self):
         rng = random.Random(1000)
