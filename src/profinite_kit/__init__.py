@@ -40,7 +40,6 @@ from .freegroup import (
     benois_saturate,
     generated_subgroup,
     parse_group_word,
-    rational_membership,
     reduce_word,
     stallings_graph,
     subgroup_contains,
@@ -48,7 +47,6 @@ from .freegroup import (
 from .closure import (
     ClosureResult,
     KernelResult,
-    MonoidMorphism,
     g_pointlike,
     inevitable_loop,
     inevitable_two_vertex,

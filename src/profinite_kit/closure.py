@@ -3,22 +3,22 @@
 A regular expression's closure in the free group replaces each plus/star
 by the subgroup it generates.  Products of finitely generated subgroups are
 closed (M. Hall; Ribes and Zalesskii), so kernels and pointlikes read one
-graph per morphism: the right Cayley graph with each edge inside a strongly
-connected component also inverted.  The kernel is also the weak-conjugation
-closure of the idempotents; the two routes must agree.
+graph per morphism, `languages.Morphism.closure_graph`: the right Cayley
+graph with each edge inside a strongly connected component also inverted.
+The kernel is also the weak-conjugation closure of the idempotents; the
+two routes must agree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from ._graph import reachable, scc
+from ._graph import reachable
 from .errors import KitError, WordDomainError
 from . import languages
-from .languages import Dfa, Regex, dfa_to_regex, minimize_dfa
+from .languages import Dfa, Morphism, Regex
 from .freegroup import (
     GroupAutomaton,
     GroupWord,
@@ -26,7 +26,6 @@ from .freegroup import (
     _intersection_witness,
     automaton_concat,
     automaton_union,
-    benois_saturate,
     empty_automaton,
     epsilon_automaton,
     generated_subgroup,
@@ -130,14 +129,10 @@ class SeparationCertificate:
     language_images: frozenset[int]
 
 
-def _language_images(dfa: Dfa, group: FiniteSemigroup,
-                     images: Mapping[str, int], identity: int) -> frozenset[int]:
+def _language_images(dfa: Dfa, morphism: Morphism) -> frozenset[int]:
     """All group images of accepted words, via product reachability."""
-    letter_images = [images[ch] for ch in dfa.alphabet]
-    # right[g][a] is g times the image of letter a
-    right = [[row[x] for x in letter_images] for row in group.table]
-    pairs = reachable([(dfa.initial, identity)],
-                      lambda pair: zip(dfa.transition[pair[0]], right[pair[1]]))
+    pairs = reachable([(dfa.initial, morphism.codomain.identity)],
+                      lambda pair: zip(dfa.transition[pair[0]], morphism.rows[pair[1]]))
     return frozenset(g for state, g in pairs if state in dfa.finals)
 
 
@@ -146,17 +141,15 @@ def separation_certificate(word: str, r: Regex,
     """Search C1-C6 and S3 for a morphism separating word from L."""
     dfa = languages.to_minimal_dfa(r, alphabet)
     for name, group in small_groups():
-        identity = group.identity
-        assert identity is not None
-        for values in itertools.product(range(group.order), repeat=len(alphabet)):
-            images = dict(zip(alphabet, values))
-            word_image = group.product(images[ch] for ch in word)
-            lang_images = _language_images(dfa, group, images, identity)
+        for values in itertools.product(range(group.order), repeat=len(dfa.alphabet)):
+            morphism = Morphism(dfa.alphabet, group, values)
+            word_image = morphism.image_of_word(word)
+            lang_images = _language_images(dfa, morphism)
             if word_image not in lang_images:
                 return SeparationCertificate(
                     group_name=name,
                     group=group,
-                    assignment=tuple(sorted(images.items())),
+                    assignment=tuple(zip(dfa.alphabet, values)),
                     word_image=word_image,
                     language_images=lang_images,
                 )
@@ -223,83 +216,35 @@ def kernel_g(m: FiniteSemigroup) -> KernelResult:
 
 
 # ---------------------------------------------------------------------------
-# monoid morphisms from A* and kernels through closures
+# canonical morphisms and kernels through closures
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
-@dataclass(frozen=True)
-class MonoidMorphism:
-    """Morphism A* -> M: letters map to elements, the empty word to 1."""
-
-    alphabet: tuple[str, ...]
-    monoid: FiniteSemigroup
-    letter_image: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.monoid.identity is None:
-            raise KitError("codomain must be a monoid")
-        for x in self.letter_image:
-            self.monoid.check_element(x)
-        if len(reachable([self.monoid.identity], self.rows.__getitem__)) != self.monoid.order:
-            raise KitError("morphism is not onto the monoid")
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Right Cayley rows: rows[s][i] is s times the image of letter i."""
-        return tuple(tuple(row[img] for img in self.letter_image)
-                     for row in self.monoid.table)
-
-    @cached_property
-    def closure_graph(self) -> GroupAutomaton:
-        """Saturated Cayley graph from 1 with each edge inside an SCC also
-        inverted; with final states {x} it accepts the closure of x's preimage."""
-        component = scc(self.monoid.order, self.rows.__getitem__)
-        edges = {(p, (ch, 1), q)
-                 for p, row in enumerate(self.rows) for ch, q in zip(self.alphabet, row)}
-        edges |= {(q, (ch, -1), p) for p, (ch, _), q in edges if component[p] == component[q]}
-        return benois_saturate(GroupAutomaton(
-            alphabet=tuple(sorted(self.alphabet)), n_states=self.monoid.order,
-            edges=frozenset(edges), initials=frozenset([self.monoid.identity]),
-            finals=frozenset()))
-
-    def image_of_word(self, word: str) -> int:
-        acc = self.monoid.identity
-        for ch in word:
-            try:
-                acc = self.rows[acc][self.alphabet.index(ch)]
-            except ValueError:
-                raise WordDomainError(f"letter {ch!r} outside {self.alphabet}") from None
-        return acc
-
-    def preimage_dfa(self, element: int) -> Dfa:
-        """Right-Cayley automaton accepting the words that map to `element`."""
-        return minimize_dfa(Dfa(self.monoid.order, self.alphabet, self.rows,
-                                self.monoid.identity, frozenset([element])))
-
-    def preimage_regex(self, element: int) -> Regex:
-        return dfa_to_regex(self.preimage_dfa(element))
+MonoidMorphism = Morphism  # the old name, which the benchmark under perfbench/ calls
 
 
-def canonical_monoid_morphism(m: FiniteSemigroup) -> MonoidMorphism:
+def canonical_monoid_morphism(m: FiniteSemigroup) -> Morphism:
     """One letter per non-identity generator of the greedy generating set."""
+    if m.identity is None:
+        raise KitError("codomain must be a monoid")
     gens = [g for g in _greedy_generators(m.table) if g != m.identity]
     if len(gens) > len(_LETTERS):
         raise KitError(f"{len(gens)} generators exceed the canonical letter supply")
-    return MonoidMorphism(tuple(_LETTERS[: len(gens)]), m, tuple(gens))
+    return Morphism(tuple(_LETTERS[: len(gens)]), m, tuple(gens))
 
 
-def _morphism_onto(m: FiniteSemigroup, morphism: Optional[MonoidMorphism]) -> MonoidMorphism:
+def _morphism_onto(m: FiniteSemigroup, morphism: Optional[Morphism]) -> Morphism:
     """The given morphism, which must map onto m, or the canonical one."""
     if morphism is None:
         return canonical_monoid_morphism(m)
-    if morphism.monoid is not m and morphism.monoid != m:
+    if morphism.codomain is not m and morphism.codomain != m:
         raise KitError("morphism codomain differs from the given monoid")
     return morphism
 
 
 def kernel_via_closure(m: FiniteSemigroup,
-                       morphism: Optional[MonoidMorphism] = None) -> frozenset[int]:
+                       morphism: Optional[Morphism] = None) -> frozenset[int]:
     """Elements whose preimage language has the empty word in its closure."""
     eps = _morphism_onto(m, morphism).closure_graph.eps
     return frozenset([m.identity]) | {q for p, q in eps if p == m.identity}
@@ -310,7 +255,7 @@ def kernel_via_closure(m: FiniteSemigroup,
 
 
 def g_pointlike(m: FiniteSemigroup, subset: Iterable[int],
-                morphism: Optional[MonoidMorphism] = None
+                morphism: Optional[Morphism] = None
                 ) -> tuple[bool, Optional[GroupWord]]:
     """Do the closures of all preimages share a free-group element?"""
     elements = sorted(set(subset))
@@ -331,7 +276,7 @@ def inevitable_loop(m: FiniteSemigroup, y: int) -> bool:
 
 
 def inevitable_two_vertex(m: FiniteSemigroup, x: int, targets: Iterable[int],
-                          morphism: Optional[MonoidMorphism] = None) -> bool:
+                          morphism: Optional[Morphism] = None) -> bool:
     """Two-vertex systems x*y_i = z with the x-constraint at the identity."""
     if m.identity is None or x != m.identity:
         raise KitError("only the identity constraint on x is supported")

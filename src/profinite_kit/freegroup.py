@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from ._graph import explore, reachable
-from .errors import FoldingError, KitError, WordDomainError
+from .errors import FoldingError, WordDomainError
 
 SignedLetter = tuple[str, int]
 GroupWord = tuple[SignedLetter, ...]
@@ -101,6 +102,11 @@ class GroupAutomaton:
     saturated: bool = False
     folded: bool = False
 
+    @cached_property
+    def step_map(self) -> dict[tuple[int, SignedLetter], int]:
+        """(state, letter) -> target, built once; deterministic graphs only."""
+        return {(p, x): q for p, x, q in self.edges}
+
 
 def word_automaton(w: GroupWord, alphabet: Iterable[str]) -> GroupAutomaton:
     edges = frozenset((i, x, i + 1) for i, x in enumerate(w))
@@ -158,34 +164,6 @@ def automaton_concat(m1: GroupAutomaton, m2: GroupAutomaton) -> GroupAutomaton:
         eps=frozenset(eps1 | eps2 | bridge),
         initials=frozenset(i1),
         finals=frozenset(f2),
-    )
-
-
-def automaton_star(m: GroupAutomaton) -> GroupAutomaton:
-    hub = m.n_states
-    eps = set(m.eps)
-    eps.update((hub, p) for p in m.initials)
-    eps.update((p, hub) for p in m.finals)
-    return GroupAutomaton(
-        alphabet=m.alphabet,
-        n_states=m.n_states + 1,
-        edges=m.edges,
-        eps=frozenset(eps),
-        initials=frozenset([hub]),
-        finals=frozenset([hub]),
-    )
-
-
-def automaton_invert(m: GroupAutomaton) -> GroupAutomaton:
-    """Accepts exactly the inverses of the words m accepts."""
-    return GroupAutomaton(
-        alphabet=m.alphabet,
-        n_states=m.n_states,
-        edges=frozenset((q, inverse_letter(x), p) for p, x, q in m.edges),
-        eps=frozenset((q, p) for p, q in m.eps),
-        initials=m.finals,
-        finals=m.initials,
-        saturated=m.saturated,  # the cancellation rule is reversal-symmetric
     )
 
 
@@ -285,15 +263,6 @@ class ReducedWordMatcher:
             if not states:
                 return False
         return bool(states & self.automaton.finals)
-
-
-def rational_membership(m: GroupAutomaton, w: GroupWord) -> bool:
-    """Does the reduced word w lie in the set of reduced accepted words?"""
-    if reduce_word(w) != w:
-        raise WordDomainError(f"word {format_group_word(w)} is not reduced")
-    if m.folded:
-        return subgroup_contains(m, w)
-    return ReducedWordMatcher(m).accepts(w)
 
 
 def trim(m: GroupAutomaton) -> GroupAutomaton:
@@ -461,12 +430,9 @@ def subgroup_contains(graph: GroupAutomaton, w: GroupWord) -> bool:
     """Loop test at the base of a folded subgroup graph."""
     if not graph.folded:
         raise FoldingError("subgroup membership needs a folded graph")
-    step: dict[tuple[int, SignedLetter], int] = {}
-    for p, x, q in graph.edges:
-        step[(p, x)] = q
     state = 0
     for x in reduce_word(w):
-        nxt = step.get((state, x))
+        nxt = graph.step_map.get((state, x))
         if nxt is None:
             return False
         state = nxt
@@ -542,37 +508,3 @@ def _intersection_witness(matchers: Sequence[ReducedWordMatcher]) -> Optional[Gr
                 return extended
             queue.append((nxt, x, extended))
     return None
-
-
-def reduced_words_of(m: GroupAutomaton, max_len: int,
-                     cap: int = 500000) -> set[GroupWord]:
-    """Brute-force oracle: reductions of accepted words of length <= max_len.
-
-    Walks (state, reduced-word-so-far) pairs breadth first; a pair seen at
-    an earlier level dominates later occurrences, so pairs deduplicate
-    globally and the walk stays polynomial in the output size.
-    """
-    m = _eliminate_epsilon(trim(m))
-    fwd, _ = _indexes(m)
-    out: set[GroupWord] = set()
-    frontier: set[tuple[int, GroupWord]] = {(p, EPSILON_WORD) for p in m.initials}
-    seen = set(frontier)
-    for _ in range(max_len + 1):
-        nxt: set[tuple[int, GroupWord]] = set()
-        for state, word in frontier:
-            if state in m.finals:
-                out.add(word)
-            for x, table in fwd.items():
-                for q in table.get(state, ()):
-                    if word and word[-1] == inverse_letter(x):
-                        extended = word[:-1]
-                    else:
-                        extended = word + (x,)
-                    pair = (q, extended)
-                    if pair not in seen:
-                        seen.add(pair)
-                        nxt.add(pair)
-                        if len(seen) > cap:
-                            raise KitError("word enumeration blew past the cap")
-        frontier = nxt
-    return out

@@ -1,18 +1,22 @@
-"""Regular-language frontend: regexes, automata and syntactic semigroups.
+"""Regular-language frontend: regexes, automata, syntactic semigroups and morphisms.
 
 Languages are semigroup-first (subsets of A+); whether the empty word is
 accepted travels alongside as an explicit flag instead of being folded
-into the algebra silently.
+into the algebra silently.  `Morphism` is the one morphism type: the
+syntactic morphism, and the morphism A* -> M whose preimages and closure
+graph the kernels and pointlikes in `closure` read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from ._graph import explore, reachable
+from ._graph import explore, reachable, scc
 from .errors import KitError, RegexSyntaxError, WordDomainError
+from .freegroup import GroupAutomaton, benois_saturate
 from .semigroups import FiniteSemigroup
 
 # ---------------------------------------------------------------------------
@@ -371,16 +375,39 @@ def dfa_to_regex(dfa: Dfa) -> Regex:
 
 
 # ---------------------------------------------------------------------------
-# syntactic semigroup
+# morphisms and syntactic semigroups
 
 
 @dataclass(frozen=True)
 class Morphism:
-    """Letter-to-element map inducing a homomorphism from A+."""
+    """Letter-to-element map inducing a homomorphism into a finite semigroup.
+
+    `image_of_word` is defined on A+: the empty word raises even in a monoid,
+    as an accept set need not say whether the language holds it.  Preimages
+    and the closure graph work on A*, sending the empty word to the identity
+    of a monoid codomain; only the closure graph needs the map to be onto.
+    """
 
     alphabet: tuple[str, ...]
     codomain: FiniteSemigroup
     letter_image: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.letter_image) != len(self.alphabet):
+            raise KitError("a morphism needs one image per letter")
+        for x in self.letter_image:
+            self.codomain.check_element(x)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Right Cayley rows: rows[s][i] is s times the image of letter i."""
+        return tuple(tuple(row[img] for img in self.letter_image)
+                     for row in self.codomain.table)
+
+    def _identity(self) -> int:
+        if self.codomain.identity is None:
+            raise KitError("codomain must be a monoid")
+        return self.codomain.identity
 
     def image_of_letter(self, ch: str) -> int:
         try:
@@ -391,7 +418,31 @@ class Morphism:
     def image_of_word(self, word: str) -> int:
         if not word:
             raise WordDomainError("a semigroup morphism has no image for the empty word")
-        return self.codomain.product(self.image_of_letter(ch) for ch in word)
+        return self.codomain.product(map(self.image_of_letter, word))
+
+    def preimage_dfa(self, element: int) -> Dfa:
+        """Right-Cayley automaton accepting the words that map to `element`."""
+        self.codomain.check_element(element)
+        return minimize_dfa(Dfa(self.codomain.order, self.alphabet, self.rows,
+                                self._identity(), frozenset([element])))
+
+    def preimage_regex(self, element: int) -> Regex:
+        return dfa_to_regex(self.preimage_dfa(element))
+
+    @cached_property
+    def closure_graph(self) -> GroupAutomaton:
+        """Saturated Cayley graph from 1 with each edge inside an SCC also
+        inverted; with final states {x} it accepts the closure of x's preimage."""
+        identity = self._identity()
+        if len(reachable([identity], self.rows.__getitem__)) != self.codomain.order:
+            raise KitError("morphism is not onto the monoid")
+        component = scc(self.codomain.order, self.rows.__getitem__)
+        edges = {(p, (ch, 1), q)
+                 for p, row in enumerate(self.rows) for ch, q in zip(self.alphabet, row)}
+        edges |= {(q, (ch, -1), p) for p, (ch, _), q in edges if component[p] == component[q]}
+        return benois_saturate(GroupAutomaton(
+            alphabet=tuple(sorted(self.alphabet)), n_states=self.codomain.order,
+            edges=frozenset(edges), initials=frozenset([identity]), finals=frozenset()))
 
 
 def recognizes(m: Morphism, accept: frozenset[int], word: str) -> bool:

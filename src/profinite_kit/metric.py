@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import KitError
+from .errors import KitError, UnsupportedOrderError
 from .kappa import PseudovarietyDef, member
-from .semigroups import FiniteSemigroup, enumerate_semigroups
+from .semigroups import ENUMERATION_LIMIT, FiniteSemigroup, enumerate_semigroups
 
 DEFAULT_MAX_ORDER = 4
 
@@ -51,8 +51,8 @@ def separation_rank(u: str, v: str, pseudovariety: PseudovarietyDef,
     """Least cardinality of a member of V separating u from v, if <= max_order."""
     if not u or not v:
         raise KitError("the word metric is defined on nonempty words")
-    if max_order < 1:
-        raise KitError("max_order must be at least 1")
+    if not 1 <= max_order <= ENUMERATION_LIMIT:
+        raise UnsupportedOrderError(f"max_order must lie in 1..{ENUMERATION_LIMIT}")
     if u == v:
         return RankResult(u=u, v=v, rank=math.inf, max_order=max_order)
     alphabet = tuple(sorted(set(u) | set(v)))

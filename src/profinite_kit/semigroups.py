@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ._graph import scc
+from ._graph import reachable, scc
 from .errors import KitError, MalformedTableError, UnsupportedOrderError
 
 Table = tuple[tuple[int, ...], ...]
@@ -131,7 +131,8 @@ class FiniteSemigroup:
                 raise MalformedTableError("generator set must be nonempty")
             if any(not 0 <= g < self.order for g in self.generators):
                 raise MalformedTableError("generator outside element range")
-            if subsemigroup_closure(self, self.generators) != frozenset(range(self.order)):
+            gens, table = self.generators, self.table  # <G>: left-normed products
+            if len(reachable(gens, lambda x: [table[x][g] for g in gens])) != self.order:
                 raise MalformedTableError("generators do not generate the semigroup")
 
     @classmethod

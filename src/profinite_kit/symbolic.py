@@ -85,21 +85,6 @@ def is_primitive(s: Substitution) -> bool:
     return bool((power > 0).all())
 
 
-def is_primitive_by_definition(s: Substitution) -> bool:
-    """Direct check that some iterate writes every letter into every image."""
-    k = len(s.alphabet)
-    one_step = [frozenset(img) for img in s.images]
-    occurs = list(one_step)
-    for _ in range(wielandt_bound(k) - 1):
-        if all(len(o) == k for o in occurs):
-            return True
-        occurs = [
-            frozenset(ch for b in occ for ch in one_step[s.alphabet.index(b)])
-            for occ in occurs
-        ]
-    return all(len(o) == k for o in occurs)
-
-
 def substitution_blocks(s: Substitution, n: int) -> frozenset[str]:
     """All length-n blocks of the subshift of a primitive substitution.
 

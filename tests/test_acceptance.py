@@ -16,7 +16,7 @@ from conftest import (
     subgroup_ball,
     words_upto,
 )
-from oracles import associative_by_triples, positive_part_dfa
+from oracles import associative_by_triples, positive_part_dfa, reduced_words_of
 from profinite_kit.closure import (
     kernel_g,
     kernel_via_closure,
@@ -27,7 +27,6 @@ from profinite_kit.errors import NotASubshiftError
 from profinite_kit.freegroup import (
     ReducedWordMatcher,
     positive_word,
-    reduced_words_of,
     stallings_graph,
     subgroup_contains,
 )

@@ -39,6 +39,10 @@ def test_every_traced_name_resolves():
                 assert callable(getattr(module, name, None)), f"{layer}.{name}"
 
 
+def test_old_morphism_name_is_the_one_type():
+    assert closure.MonoidMorphism is languages.Morphism
+
+
 def test_closure_calls_of_the_benchmark():
     res = languages.syntactic_semigroup(languages.parse_regex("(ab|ba)*(aa|b)*", "ab"), "ab")
     monoid = semigroups.monoid_of(res.semigroup)

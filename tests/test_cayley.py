@@ -20,7 +20,10 @@ from profinite_kit.semigroups import (
     check_associativity,
     enumerate_semigroups,
     green_relations,
+    monoid_of,
+    subsemigroup_closure,
 )
+from profinite_kit.errors import MalformedTableError
 
 ANCHOR_113 = "(ab|ba)*(aa|b)*"
 ORACLE_LIMIT = 120
@@ -94,6 +97,45 @@ class TestGreen:
     def test_syntactic_semigroups(self, syntactic_corpus):
         for s in syntactic_corpus:
             assert green_relations(s) == green_by_ideals(s), s.order
+
+
+class TestGenerators:
+    """`generators` are validated by right-Cayley reachability; the closure
+    engine is the plain twin."""
+
+    @staticmethod
+    def _verdicts(table, subsets):
+        s = FiniteSemigroup.from_table(table)
+        for gens in subsets:
+            generates = subsemigroup_closure(s, gens) == frozenset(range(s.order))
+            try:
+                FiniteSemigroup.from_table(table, generators=gens)
+                accepted = True
+            except MalformedTableError:
+                accepted = False
+            assert accepted == generates, (table, sorted(gens))
+            yield generates
+
+    def test_labelled_tables_of_order_at_most_3(self):
+        rng = random.Random(17)
+        verdicts = []
+        for n in range(1, 4):
+            for table in associative_tables(n):
+                subsets = [frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)]
+                verdicts.extend(self._verdicts(table, subsets))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_corpus_monoids(self, syntactic_corpus):
+        rng = random.Random(19)
+        verdicts = []
+        for s in syntactic_corpus:
+            m = monoid_of(s)
+            greedy = _greedy_generators(m.table)
+            subsets = [frozenset(greedy) | set(rng.sample(range(m.order), min(m.order, 2))),
+                       frozenset(greedy[1:] or greedy),
+                       frozenset(rng.sample(range(m.order), min(m.order, 3)))]
+            verdicts.extend(self._verdicts(m.table, subsets))
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestScc:

@@ -123,6 +123,14 @@ class TestErrors:
         assert payload["status"] == "error"
         assert "element 9" in payload["data"]["error"]
 
+    @pytest.mark.parametrize("u, v, pv", [("aa", "aaa", "A"), ("ab", "ba", "G")])
+    def test_max_order_past_enumeration_limit(self, u, v, pv, capsys):
+        argv = ["metric", "--u", u, "--v", v, "--pv", pv, "--max-order", "6"]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert "max_order" in payload["data"]["error"]
+
     def test_run_returns_command_result(self):
         result = run(["enumerate", "--order", "1", "--count-only"])
         assert isinstance(result, CommandResult)

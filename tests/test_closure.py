@@ -13,7 +13,6 @@ from oracles import (
 from profinite_kit.cli import main
 from profinite_kit.errors import KitError
 from profinite_kit.closure import (
-    MonoidMorphism,
     canonical_monoid_morphism,
     g_pointlike,
     inevitable_loop,
@@ -28,7 +27,7 @@ from profinite_kit.closure import (
     weak_conjugation_pairs,
 )
 from profinite_kit.kappa import lookup, member
-from profinite_kit.languages import dfa_to_regex, parse_regex, syntactic_semigroup
+from profinite_kit.languages import Morphism, dfa_to_regex, parse_regex, syntactic_semigroup
 from profinite_kit.semigroups import (
     FiniteSemigroup,
     _greedy_generators,
@@ -63,7 +62,7 @@ def corpus_morphisms(count=60, seed=53, max_order=12):
         syntactic = syntactic_semigroup(r, "ab")
         m = monoid_of(syntactic.semigroup)
         if m.order <= max_order:
-            out.append((m, MonoidMorphism(("a", "b"), m, syntactic.morphism.letter_image)))
+            out.append((m, Morphism(("a", "b"), m, syntactic.morphism.letter_image)))
     return out
 
 
@@ -209,12 +208,15 @@ class TestKernelViaClosure:
             assert kernel_g(m).kernel == kernel_via_closure(m), m.table
 
     def test_rejects_non_onto_morphism(self):
-        with pytest.raises(KitError):
-            MonoidMorphism(alphabet=("a",), monoid=B21, letter_image=(B21.identity,))
+        morphism = Morphism(alphabet=("a",), codomain=B21, letter_image=(B21.identity,))
+        with pytest.raises(KitError, match="not onto"):
+            kernel_via_closure(B21, morphism)
+        with pytest.raises(KitError, match="not onto"):
+            g_pointlike(B21, {B21.identity}, morphism)
 
     def test_rejects_out_of_range_letter_image(self):
         with pytest.raises(KitError):
-            MonoidMorphism(alphabet=("a",), monoid=C2, letter_image=(2,))
+            Morphism(alphabet=("a",), codomain=C2, letter_image=(2,))
 
     def test_rejects_morphism_onto_another_monoid(self):
         with pytest.raises(KitError):
@@ -356,16 +358,17 @@ class TestCanonicalMorphism:
             morphism = canonical_monoid_morphism(m)
             images = [morphism.image_of_word(ch) for ch in morphism.alphabet]
             assert images == [g for g in _greedy_generators(m.table) if g != m.identity]
-            assert morphism.image_of_word("") == m.identity
+            assert morphism.preimage_dfa(m.identity).accepts("")
             if m.order <= 5:
                 # every element is a product of at most order - 1 generators
                 reached = {morphism.image_of_word(w)
-                           for w in words_upto(morphism.alphabet, m.order - 1)}
-                assert reached == set(range(m.order)), m.table
+                           for w in words_upto(morphism.alphabet, m.order - 1, min_len=1)}
+                assert reached | {m.identity} == set(range(m.order)), m.table
 
     def test_preimage_dfa_accepts_matching_words(self):
         morphism = canonical_monoid_morphism(B21)
         for element in range(B21.order):
             dfa = morphism.preimage_dfa(element)
-            for w in words_upto(morphism.alphabet, 3):
+            assert dfa.accepts("") == (element == B21.identity)
+            for w in words_upto(morphism.alphabet, 3, min_len=1):
                 assert dfa.accepts(w) == (morphism.image_of_word(w) == element)

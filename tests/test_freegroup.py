@@ -8,14 +8,13 @@ from conftest import (
     reduced_words_upto,
     subgroup_ball,
 )
+from oracles import automaton_invert, automaton_star, rational_membership, reduced_words_of
 from profinite_kit.errors import FoldingError, WordDomainError
 from profinite_kit.freegroup import (
     GroupAutomaton,
     ReducedWordMatcher,
     _eps_closure_map,
     automaton_concat,
-    automaton_invert,
-    automaton_star,
     automaton_union,
     benois_saturate,
     format_group_word,
@@ -24,9 +23,7 @@ from profinite_kit.freegroup import (
     parse_group_word,
     positive_word,
     rational_intersection_witness,
-    rational_membership,
     reduce_word,
-    reduced_words_of,
     stallings_graph,
     subgroup_contains,
     word_automaton,

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from conftest import random_regex, words_upto
-from profinite_kit.errors import RegexSyntaxError, WordDomainError
+from conftest import random_regex, regex_corpus, words_upto
+from profinite_kit.closure import canonical_monoid_morphism
+from profinite_kit.errors import KitError, RegexSyntaxError, WordDomainError
 from profinite_kit.languages import (
     Concat,
     Letter,
+    Morphism,
     Plus,
     Star,
     Union,
@@ -20,7 +22,7 @@ from profinite_kit.languages import (
     _determinize,
     _nfa_of_regex,
 )
-from profinite_kit.semigroups import structural_predicates
+from profinite_kit.semigroups import FiniteSemigroup, structural_predicates
 
 
 class TestParser:
@@ -154,6 +156,46 @@ class TestRecognizes:
             for v in words_upto("ab", 3, min_len=1):
                 assert m.image_of_word(u + v) == \
                     m.codomain.table[m.image_of_word(u)][m.image_of_word(v)]
+
+
+class TestMorphism:
+    def test_image_is_product_of_letter_images(self):
+        # and equals the walk over the Cayley rows that the A* automata use
+        for r in regex_corpus(40, seed=59):
+            m = syntactic_semigroup(r, "ab").morphism
+            for w in words_upto("ab", 4, min_len=1):
+                image = m.image_of_word(w)
+                assert image == m.codomain.product(
+                    m.letter_image[m.alphabet.index(ch)] for ch in w)
+                walk = m.letter_image[m.alphabet.index(w[0])]
+                for ch in w[1:]:
+                    walk = m.rows[walk][m.alphabet.index(ch)]
+                assert image == walk
+
+    def test_empty_word_outside_a_plus_even_with_identity(self):
+        # the syntactic semigroup of (aa)+ is C2 with identity [aa] and accept
+        # set {identity}, yet the language misses the empty word
+        result = syntactic_semigroup(parse_regex("(aa)+", "a"))
+        assert result.semigroup.order == 2 and not result.accepts_empty
+        assert result.accept == {result.semigroup.identity}
+        with pytest.raises(WordDomainError):
+            recognizes(result.morphism, result.accept, "")
+
+    def test_one_image_per_letter(self):
+        c2 = FiniteSemigroup.from_table([[0, 1], [1, 0]])
+        with pytest.raises(KitError, match="one image per letter"):
+            Morphism(("a", "b"), c2, (1,))
+
+    def test_a_star_operations_need_a_monoid(self):
+        left_zero = FiniteSemigroup.from_table([[0, 0], [1, 1]])
+        morphism = Morphism(("a", "b"), left_zero, (0, 1))
+        assert morphism.image_of_word("ab") == 0
+        with pytest.raises(KitError, match="monoid"):
+            morphism.closure_graph
+        with pytest.raises(KitError, match="monoid"):
+            morphism.preimage_dfa(0)
+        with pytest.raises(KitError, match="monoid"):
+            canonical_monoid_morphism(left_zero)
 
 
 class TestSyntacticProperties:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from profinite_kit.errors import KitError
+from profinite_kit.errors import KitError, UnsupportedOrderError
 from profinite_kit.kappa import lookup, member
 from profinite_kit.metric import DEFAULT_MAX_ORDER, distance, separation_rank
 
@@ -77,6 +77,14 @@ class TestSeparationRank:
     def test_empty_word_rejected(self):
         with pytest.raises(KitError):
             separation_rank("", "a", lookup("S"))
+
+    @pytest.mark.parametrize("u, v, pv", [("aa", "aaa", "A"), ("ab", "ba", "G")])
+    def test_max_order_past_enumeration_limit_rejected(self, u, v, pv):
+        # rejected before the search, whether or not a small semigroup separates
+        with pytest.raises(UnsupportedOrderError):
+            separation_rank(u, v, lookup(pv), max_order=6)
+        with pytest.raises(UnsupportedOrderError):
+            distance(u, v, lookup(pv), max_order=5)
 
 
 class TestDistance:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import words_upto
+from oracles import is_primitive_by_definition
 from profinite_kit.errors import KitError, NonPrimitiveError, NotASubshiftError
 from profinite_kit.languages import Dfa, parse_regex, to_minimal_dfa
 from profinite_kit.symbolic import (
@@ -14,7 +15,6 @@ from profinite_kit.symbolic import (
     forbid_factor,
     is_irreducible,
     is_primitive,
-    is_primitive_by_definition,
     parse_substitution,
     substitution_blocks,
     wielandt_bound,
