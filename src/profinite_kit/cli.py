@@ -329,13 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Sequence[str]) -> CommandResult:
-    """Parse and execute; raises SystemExit(2) on usage errors."""
-    args = build_parser().parse_args(argv)
+def execute(args: argparse.Namespace) -> CommandResult:
+    """Run parsed arguments' handler; a domain error becomes the error payload."""
     try:
         return args.handler(args)
     except KitError as exc:
         return CommandResult("error", {"error": str(exc)})
+
+
+def run(argv: Sequence[str]) -> CommandResult:
+    """Parse and execute; raises SystemExit(2) on usage errors."""
+    return execute(build_parser().parse_args(argv))
 
 
 def _render_text(payload: dict, indent: str = "") -> list[str]:
@@ -359,15 +363,11 @@ def render(result: CommandResult, fmt: str) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse usage failure, exits with 2
         return int(exc.code or 0)
-    try:
-        result = args.handler(args)
-    except KitError as exc:
-        result = CommandResult("error", {"error": str(exc)})
+    result = execute(args)
     print(render(result, args.format))
     return 0 if result.status == "ok" else 1
 

@@ -1,10 +1,14 @@
 """Pro-group closures of regular languages, group kernels and pointlikes.
 
-A regular expression's closure in the free group replaces each plus/star
-by the subgroup it generates.  Products of finitely generated subgroups are
-closed (M. Hall; Ribes and Zalesskii), so kernels and pointlikes read one
-graph per morphism, `languages.Morphism.closure_graph`: the right Cayley
-graph with each edge inside a strongly connected component also inverted.
+The closure of a regular language in the free group is read off an
+automaton by one construction, `languages.closure_graph`: each edge inside
+a strongly connected component is also inverted, and the result is
+Benois-saturated once.  Along a regular expression this is Pin and
+Reutenauer's closure, each plus/star replaced by the subgroup it
+generates; products of finitely generated subgroups are closed (M. Hall;
+Ribes and Zalesskii).  `pro_g_closure` applies it to the minimal DFA of a
+regex; kernels and pointlikes read one graph per morphism,
+`languages.Morphism.closure_graph`, built from the right Cayley graph.
 The kernel is also the weak-conjugation closure of the idempotents; the
 two routes must agree.
 """
@@ -19,53 +23,9 @@ from ._graph import reachable
 from .errors import KitError, WordDomainError
 from . import languages
 from .languages import Dfa, Morphism, Regex
-from .freegroup import (
-    GroupAutomaton,
-    GroupWord,
-    ReducedWordMatcher,
-    _intersection_witness,
-    automaton_concat,
-    automaton_union,
-    empty_automaton,
-    epsilon_automaton,
-    generated_subgroup,
-    positive_word,
-    trim,
-    word_automaton,
-)
+from .freegroup import GroupWord, ReducedWordMatcher, _intersection_witness, positive_word
 from .semigroups import FiniteSemigroup, _greedy_generators, subsemigroup_closure
 from .kappa import PseudovarietyDef, member
-
-
-def closure_automaton(r: Regex, alphabet: Sequence[str]) -> GroupAutomaton:
-    """Translate a regex to an automaton for its pro-group closure in FG(A).
-
-    Letters map to themselves, union and concatenation to the automaton
-    constructions, and both iteration operators to the generated
-    subgroup, which already contains the empty word.
-    """
-    if isinstance(r, languages.Empty):
-        return empty_automaton(alphabet)
-    if isinstance(r, languages.Epsilon):
-        return epsilon_automaton(alphabet)
-    if isinstance(r, languages.Letter):
-        return word_automaton(positive_word(r.char), alphabet)
-    if isinstance(r, languages.Union):
-        return automaton_union(closure_automaton(r.left, alphabet),
-                               closure_automaton(r.right, alphabet))
-    if isinstance(r, languages.Concat):
-        return automaton_concat(closure_automaton(r.left, alphabet),
-                                closure_automaton(r.right, alphabet))
-    if isinstance(r, (languages.Star, languages.Plus)):
-        inner = trim(closure_automaton(r.inner, alphabet))
-        if not inner.finals:
-            # iterating the empty set: plus stays empty, star keeps only
-            # the empty word; the generated subgroup would wrongly add it
-            if isinstance(r, languages.Plus):
-                return empty_automaton(alphabet)
-            return epsilon_automaton(alphabet)
-        return generated_subgroup(inner)
-    raise KitError(f"unknown regex node {r!r}")
 
 
 class ClosureResult:
@@ -78,8 +38,8 @@ class ClosureResult:
     def __init__(self, source_regex: Regex, alphabet: Sequence[str]):
         self.source_regex = source_regex
         self.alphabet = tuple(alphabet)
-        raw = closure_automaton(source_regex, self.alphabet)
-        self._matcher = ReducedWordMatcher(trim(raw))
+        dfa = languages.to_minimal_dfa(source_regex, self.alphabet)
+        self._matcher = ReducedWordMatcher(languages.closure_graph(dfa))
         self.automaton = self._matcher.automaton
 
     def contains(self, w: GroupWord) -> bool:

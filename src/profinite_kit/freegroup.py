@@ -108,63 +108,10 @@ class GroupAutomaton:
         return {(p, x): q for p, x, q in self.edges}
 
 
-def word_automaton(w: GroupWord, alphabet: Iterable[str]) -> GroupAutomaton:
-    edges = frozenset((i, x, i + 1) for i, x in enumerate(w))
-    return GroupAutomaton(
-        alphabet=tuple(sorted(set(alphabet) | {ch for ch, _ in w})),
-        n_states=len(w) + 1,
-        edges=edges,
-        initials=frozenset([0]),
-        finals=frozenset([len(w)]),
-        saturated=reduce_word(w) == tuple(w),  # no cancellation on a reduced path
-    )
-
-
-def epsilon_automaton(alphabet: Iterable[str]) -> GroupAutomaton:
-    return GroupAutomaton(
-        alphabet=tuple(sorted(alphabet)), n_states=1, edges=frozenset(),
-        initials=frozenset([0]), finals=frozenset([0]), saturated=True)
-
-
 def empty_automaton(alphabet: Iterable[str]) -> GroupAutomaton:
     return GroupAutomaton(
         alphabet=tuple(sorted(alphabet)), n_states=1, edges=frozenset(),
         initials=frozenset([0]), finals=frozenset(), saturated=True)
-
-
-def _shift(m: GroupAutomaton, offset: int):
-    edges = {(p + offset, x, q + offset) for p, x, q in m.edges}
-    eps = {(p + offset, q + offset) for p, q in m.eps}
-    initials = {p + offset for p in m.initials}
-    finals = {p + offset for p in m.finals}
-    return edges, eps, initials, finals
-
-
-def automaton_union(m1: GroupAutomaton, m2: GroupAutomaton) -> GroupAutomaton:
-    e1, eps1, i1, f1 = _shift(m1, 0)
-    e2, eps2, i2, f2 = _shift(m2, m1.n_states)
-    return GroupAutomaton(
-        alphabet=tuple(sorted(set(m1.alphabet) | set(m2.alphabet))),
-        n_states=m1.n_states + m2.n_states,
-        edges=frozenset(e1 | e2),
-        eps=frozenset(eps1 | eps2),
-        initials=frozenset(i1 | i2),
-        finals=frozenset(f1 | f2),
-    )
-
-
-def automaton_concat(m1: GroupAutomaton, m2: GroupAutomaton) -> GroupAutomaton:
-    e1, eps1, i1, f1 = _shift(m1, 0)
-    e2, eps2, i2, f2 = _shift(m2, m1.n_states)
-    bridge = {(p, q) for p in f1 for q in i2}
-    return GroupAutomaton(
-        alphabet=tuple(sorted(set(m1.alphabet) | set(m2.alphabet))),
-        n_states=m1.n_states + m2.n_states,
-        edges=frozenset(e1 | e2),
-        eps=frozenset(eps1 | eps2 | bridge),
-        initials=frozenset(i1),
-        finals=frozenset(f2),
-    )
 
 
 def _indexes(m: GroupAutomaton):

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._graph import explore, reachable, scc
 from .errors import KitError, RegexSyntaxError, WordDomainError
-from .freegroup import GroupAutomaton, benois_saturate
+from .freegroup import GroupAutomaton, benois_saturate, trim
 from .semigroups import FiniteSemigroup
 
 # ---------------------------------------------------------------------------
@@ -63,14 +63,23 @@ class Plus:
 Regex = Empty | Epsilon | Letter | Union | Concat | Star | Plus
 
 
+def _children(node: Regex) -> tuple[Regex, ...]:
+    if isinstance(node, (Union, Concat)):
+        return (node.left, node.right)
+    if isinstance(node, (Star, Plus)):
+        return (node.inner,)
+    return ()
+
+
 def regex_letters(r: Regex) -> frozenset[str]:
-    if isinstance(r, Letter):
-        return frozenset([r.char])
-    if isinstance(r, (Union, Concat)):
-        return regex_letters(r.left) | regex_letters(r.right)
-    if isinstance(r, (Star, Plus)):
-        return regex_letters(r.inner)
-    return frozenset()
+    letters: set[str] = set()
+    stack = [r]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Letter):
+            letters.add(node.char)
+        stack.extend(_children(node))
+    return frozenset(letters)
 
 
 def regex_to_str(r: Regex) -> str:
@@ -244,39 +253,43 @@ class Dfa:
 
 
 def _nfa_of_regex(r: Regex, alphabet: Sequence[str]):
-    """Thompson construction; returns (n_states, eps, moves, initial, final)."""
+    """Thompson construction; returns (n_states, eps, moves, initial, final).
+
+    Walks the tree with an explicit stack, so depth is not limited by the
+    recursion limit.  A letter outside the alphabet raises.
+    """
+    letters = frozenset(alphabet)
     eps: list[tuple[int, int]] = []
     moves: list[tuple[int, str, int]] = []
     counter = itertools.count()
-
-    def build(node: Regex) -> tuple[int, int]:
-        start, end = next(counter), next(counter)
+    initial, final = next(counter), next(counter)
+    stack = [(r, initial, final)]
+    while stack:
+        node, start, end = stack.pop()
+        parts = [(part, next(counter), next(counter)) for part in _children(node)]
+        stack.extend(parts)
         if isinstance(node, Empty):
             pass
         elif isinstance(node, Epsilon):
             eps.append((start, end))
         elif isinstance(node, Letter):
+            if node.char not in letters:
+                raise KitError(f"regex letter {node.char!r} outside alphabet {tuple(alphabet)}")
             moves.append((start, node.char, end))
         elif isinstance(node, Union):
-            for part in (node.left, node.right):
-                s, e = build(part)
-                eps.append((start, s))
-                eps.append((e, end))
+            for _, s, e in parts:
+                eps.extend([(start, s), (e, end)])
         elif isinstance(node, Concat):
-            s1, e1 = build(node.left)
-            s2, e2 = build(node.right)
+            (_, s1, e1), (_, s2, e2) = parts
             eps.extend([(start, s1), (e1, s2), (e2, end)])
         elif isinstance(node, Star):
-            s, e = build(node.inner)
+            (_, s, e), = parts
             eps.extend([(start, s), (e, end), (start, end), (e, s)])
         elif isinstance(node, Plus):
-            s, e = build(node.inner)
+            (_, s, e), = parts
             eps.extend([(start, s), (e, end), (e, s)])
         else:
             raise KitError(f"unknown regex node {node!r}")
-        return start, end
-
-    initial, final = build(r)
     return next(counter), eps, moves, initial, final
 
 
@@ -307,29 +320,25 @@ def _determinize(n: int, eps, moves, initial: int, final: int,
 def minimize_dfa(dfa: Dfa) -> Dfa:
     """Moore partition refinement on the reachable part; stays complete."""
     states = sorted(reachable([dfa.initial], dfa.transition.__getitem__))
-    block = {s: (s in dfa.finals) for s in states}
+    block = [int(s in dfa.finals) for s in range(dfa.n_states)]
+    count = len({block[s] for s in states})
     while True:
-        signature = {
-            s: (block[s], tuple(block[dfa.transition[s][a]] for a in range(len(dfa.alphabet))))
-            for s in states
-        }
         fresh: dict = {}
+        new_block = block[:]
         for s in states:
-            fresh.setdefault(signature[s], len(fresh))
-        new_block = {s: fresh[signature[s]] for s in states}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
+            key = (block[s], *map(block.__getitem__, dfa.transition[s]))
+            new_block[s] = fresh.setdefault(key, len(fresh))
         block = new_block
-    n = len(set(block.values()))
-    rows = [[0] * len(dfa.alphabet) for _ in range(n)]
+        if len(fresh) == count:
+            break
+        count = len(fresh)
+    rows: list = [()] * count
     for s in states:
-        for a in range(len(dfa.alphabet)):
-            rows[block[s]][a] = block[dfa.transition[s][a]]
+        rows[block[s]] = tuple(map(block.__getitem__, dfa.transition[s]))
     return Dfa(
-        n_states=n,
+        n_states=count,
         alphabet=dfa.alphabet,
-        transition=tuple(tuple(r) for r in rows),
+        transition=tuple(rows),
         initial=block[dfa.initial],
         finals=frozenset(block[s] for s in states if s in dfa.finals),
     )
@@ -372,6 +381,18 @@ def dfa_to_regex(dfa: Dfa) -> Regex:
         for key in [k for k in label if mid in k]:
             del label[key]
     return label.get((start, accept), Empty())
+
+
+def closure_graph(dfa: Dfa) -> GroupAutomaton:
+    """Saturated automaton of the pro-group closure of L(dfa) in FG(A): each
+    edge inside a strongly connected component also inverted, then trimmed."""
+    component = scc(dfa.n_states, dfa.transition.__getitem__)
+    edges = {(p, (ch, 1), q)
+             for p, row in enumerate(dfa.transition) for ch, q in zip(dfa.alphabet, row)}
+    edges |= {(q, (ch, -1), p) for p, (ch, _), q in edges if component[p] == component[q]}
+    return benois_saturate(trim(GroupAutomaton(
+        alphabet=tuple(sorted(dfa.alphabet)), n_states=dfa.n_states, edges=frozenset(edges),
+        initials=frozenset([dfa.initial]), finals=dfa.finals)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +452,13 @@ class Morphism:
 
     @cached_property
     def closure_graph(self) -> GroupAutomaton:
-        """Saturated Cayley graph from 1 with each edge inside an SCC also
-        inverted; with final states {x} it accepts the closure of x's preimage."""
+        """`closure_graph` of the right Cayley automaton from 1, every element
+        final; with final states {x} it accepts the closure of x's preimage."""
         identity = self._identity()
-        if len(reachable([identity], self.rows.__getitem__)) != self.codomain.order:
+        n = self.codomain.order
+        if len(reachable([identity], self.rows.__getitem__)) != n:
             raise KitError("morphism is not onto the monoid")
-        component = scc(self.codomain.order, self.rows.__getitem__)
-        edges = {(p, (ch, 1), q)
-                 for p, row in enumerate(self.rows) for ch, q in zip(self.alphabet, row)}
-        edges |= {(q, (ch, -1), p) for p, (ch, _), q in edges if component[p] == component[q]}
-        return benois_saturate(GroupAutomaton(
-            alphabet=tuple(sorted(self.alphabet)), n_states=self.codomain.order,
-            edges=frozenset(edges), initials=frozenset([identity]), finals=frozenset()))
+        return closure_graph(Dfa(n, self.alphabet, self.rows, identity, frozenset(range(n))))
 
 
 def recognizes(m: Morphism, accept: frozenset[int], word: str) -> bool:

@@ -3,14 +3,17 @@
 Each oracle follows its definition directly, so the differential tests can
 compare the Cayley-graph code against it.  The table oracles cost O(n^3)
 on an n-element table; keep their inputs at order 120 or below.  The
-closure oracles build one pro-group closure per element, from the regular
-expression of its preimage.  The free-group helpers at the end (star,
-inversion, brute-force reduced words) and the primitivity check by
-iteration exist only for the tests.
+closure oracle builds pro-group closures along the regular expression
+tree (letters, unions, concatenations and generated subgroups), not from
+an automaton, and the kernel and pointlike oracles use it once per element
+on the regular expression of its preimage.  The free-group helpers at the
+end (star, inversion, brute-force reduced words) and the primitivity
+check by iteration exist only for the tests.
 """
 
+from profinite_kit import languages
 from profinite_kit._graph import explore, reachable
-from profinite_kit.closure import canonical_monoid_morphism, pro_g_closure
+from profinite_kit.closure import canonical_monoid_morphism
 from profinite_kit.errors import KitError, WordDomainError
 from profinite_kit.freegroup import (
     EPSILON_WORD,
@@ -20,8 +23,11 @@ from profinite_kit.freegroup import (
     _eliminate_epsilon,
     _indexes,
     _intersection_witness,
+    empty_automaton,
     format_group_word,
+    generated_subgroup,
     inverse_letter,
+    positive_word,
     reduce_word,
     subgroup_contains,
     trim,
@@ -75,18 +81,107 @@ def components_by_reachability(n, successors):
     return {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}
 
 
+def word_automaton(w: GroupWord, alphabet) -> GroupAutomaton:
+    edges = frozenset((i, x, i + 1) for i, x in enumerate(w))
+    return GroupAutomaton(
+        alphabet=tuple(sorted(set(alphabet) | {ch for ch, _ in w})),
+        n_states=len(w) + 1,
+        edges=edges,
+        initials=frozenset([0]),
+        finals=frozenset([len(w)]),
+        saturated=reduce_word(w) == tuple(w),  # no cancellation on a reduced path
+    )
+
+
+def epsilon_automaton(alphabet) -> GroupAutomaton:
+    return GroupAutomaton(
+        alphabet=tuple(sorted(alphabet)), n_states=1, edges=frozenset(),
+        initials=frozenset([0]), finals=frozenset([0]), saturated=True)
+
+
+def _shift(m: GroupAutomaton, offset: int):
+    edges = {(p + offset, x, q + offset) for p, x, q in m.edges}
+    eps = {(p + offset, q + offset) for p, q in m.eps}
+    initials = {p + offset for p in m.initials}
+    finals = {p + offset for p in m.finals}
+    return edges, eps, initials, finals
+
+
+def automaton_union(m1: GroupAutomaton, m2: GroupAutomaton) -> GroupAutomaton:
+    e1, eps1, i1, f1 = _shift(m1, 0)
+    e2, eps2, i2, f2 = _shift(m2, m1.n_states)
+    return GroupAutomaton(
+        alphabet=tuple(sorted(set(m1.alphabet) | set(m2.alphabet))),
+        n_states=m1.n_states + m2.n_states,
+        edges=frozenset(e1 | e2),
+        eps=frozenset(eps1 | eps2),
+        initials=frozenset(i1 | i2),
+        finals=frozenset(f1 | f2),
+    )
+
+
+def automaton_concat(m1: GroupAutomaton, m2: GroupAutomaton) -> GroupAutomaton:
+    e1, eps1, i1, f1 = _shift(m1, 0)
+    e2, eps2, i2, f2 = _shift(m2, m1.n_states)
+    bridge = {(p, q) for p in f1 for q in i2}
+    return GroupAutomaton(
+        alphabet=tuple(sorted(set(m1.alphabet) | set(m2.alphabet))),
+        n_states=m1.n_states + m2.n_states,
+        edges=frozenset(e1 | e2),
+        eps=frozenset(eps1 | eps2 | bridge),
+        initials=frozenset(i1),
+        finals=frozenset(f2),
+    )
+
+
+def closure_automaton(r, alphabet) -> GroupAutomaton:
+    """Pro-group closure of a regex along its tree (Pin and Reutenauer).
+
+    Letters map to themselves, union and concatenation to the automaton
+    constructions, and both iteration operators to the generated
+    subgroup, which already contains the empty word.
+    """
+    if isinstance(r, languages.Empty):
+        return empty_automaton(alphabet)
+    if isinstance(r, languages.Epsilon):
+        return epsilon_automaton(alphabet)
+    if isinstance(r, languages.Letter):
+        return word_automaton(positive_word(r.char), alphabet)
+    if isinstance(r, languages.Union):
+        return automaton_union(closure_automaton(r.left, alphabet),
+                               closure_automaton(r.right, alphabet))
+    if isinstance(r, languages.Concat):
+        return automaton_concat(closure_automaton(r.left, alphabet),
+                                closure_automaton(r.right, alphabet))
+    if isinstance(r, (languages.Star, languages.Plus)):
+        inner = trim(closure_automaton(r.inner, alphabet))
+        if not inner.finals:
+            # iterating the empty set: plus stays empty, star keeps only
+            # the empty word; the generated subgroup would wrongly add it
+            if isinstance(r, languages.Plus):
+                return empty_automaton(alphabet)
+            return epsilon_automaton(alphabet)
+        return generated_subgroup(inner)
+    raise KitError(f"unknown regex node {r!r}")
+
+
+def closure_matcher(r, alphabet) -> ReducedWordMatcher:
+    """Membership in the regex-tree closure, the twin of `pro_g_closure`."""
+    return ReducedWordMatcher(trim(closure_automaton(r, alphabet)))
+
+
 def kernel_by_preimage_closures(m, morphism=None):
     """Elements whose preimage regex has the empty word in its pro-group closure."""
     morphism = morphism or canonical_monoid_morphism(m)
     return frozenset(
         x for x in range(m.order)
-        if pro_g_closure(morphism.preimage_regex(x), morphism.alphabet).contains(EPSILON_WORD))
+        if closure_matcher(morphism.preimage_regex(x), morphism.alphabet).accepts(EPSILON_WORD))
 
 
 def pointlike_by_preimage_closures(m, subset, morphism=None):
     """(pointlike, witness) from one closure automaton per preimage regex."""
     morphism = morphism or canonical_monoid_morphism(m)
-    matchers = [pro_g_closure(morphism.preimage_regex(x), morphism.alphabet)._matcher
+    matchers = [closure_matcher(morphism.preimage_regex(x), morphism.alphabet)
                 for x in sorted(set(subset))]
     witness = _intersection_witness(matchers)
     return witness is not None, witness

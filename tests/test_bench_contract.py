@@ -53,3 +53,13 @@ def test_closure_calls_of_the_benchmark():
     assert kernel == closure.kernel_g(monoid).kernel
     ok, witness = closure.g_pointlike(monoid, [monoid.identity, next(iter(kernel))], morphism)
     assert ok and witness is not None
+
+
+def test_separation_calls_of_the_benchmark():
+    regex = languages.parse_regex("(ab)+", "ab")
+    assert isinstance(closure.pro_g_closure(regex, "ab").automaton.n_states, int)
+    assert closure.separable_by_group_language("ba", regex, "ab") is True
+    cert = closure.separation_certificate("ba", regex, ("a", "b"))
+    assert len(cert.group.table) == cert.group.order
+    assert dict(cert.assignment).keys() == {"a", "b"}
+    assert cert.word_image not in cert.language_images

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from conftest import regex_corpus, words_upto
+from conftest import reduced_words_upto, regex_corpus, words_upto
 from oracles import (
+    closure_matcher,
     kernel_by_preimage_closures,
     pointlike_by_preimage_closures,
     positive_part_dfa,
@@ -26,8 +27,15 @@ from profinite_kit.closure import (
     small_groups,
     weak_conjugation_pairs,
 )
+from profinite_kit.freegroup import format_group_word
 from profinite_kit.kappa import lookup, member
-from profinite_kit.languages import Morphism, dfa_to_regex, parse_regex, syntactic_semigroup
+from profinite_kit.languages import (
+    Morphism,
+    dfa_to_regex,
+    parse_regex,
+    regex_to_str,
+    syntactic_semigroup,
+)
 from profinite_kit.semigroups import (
     FiniteSemigroup,
     _greedy_generators,
@@ -130,6 +138,36 @@ class TestProGClosure:
         dfa = to_minimal_dfa(r, "ab")
         for w in words_upto("ab", 6, min_len=1):
             assert clos.contains_word(w) == dfa.accepts(w)
+
+
+REDUCED_WORDS = reduced_words_upto("ab", 5)
+
+
+def assert_matches_regex_tree(r):
+    """The DFA route answers like the regex-tree oracle on every short word."""
+    clos = pro_g_closure(r, "ab")
+    assert clos.automaton.saturated
+    oracle = closure_matcher(r, "ab")
+    members = 0
+    for w in REDUCED_WORDS:
+        answer = clos.contains(w)
+        assert answer == oracle.accepts(w), (regex_to_str(r), format_group_word(w))
+        members += answer
+    return members
+
+
+class TestRegexTreeOracle:
+    @pytest.mark.parametrize("text,members", [
+        ("#", 0), ("~", 1), ("a+", 11), ("(ab)+", 5), ("(a|b)*", 485),
+        ("((a|b)(a|b))+", 121),  # the reduced words of even length
+    ])
+    def test_hand_cases(self, text, members):
+        assert len(REDUCED_WORDS) == 485
+        assert assert_matches_regex_tree(parse_regex(text, "ab")) == members
+
+    def test_corpus(self):
+        for r in regex_corpus(200):
+            assert_matches_regex_tree(r)
 
 
 class TestSeparation:

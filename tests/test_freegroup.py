@@ -8,14 +8,20 @@ from conftest import (
     reduced_words_upto,
     subgroup_ball,
 )
-from oracles import automaton_invert, automaton_star, rational_membership, reduced_words_of
+from oracles import (
+    automaton_concat,
+    automaton_invert,
+    automaton_star,
+    automaton_union,
+    rational_membership,
+    reduced_words_of,
+    word_automaton,
+)
 from profinite_kit.errors import FoldingError, WordDomainError
 from profinite_kit.freegroup import (
     GroupAutomaton,
     ReducedWordMatcher,
     _eps_closure_map,
-    automaton_concat,
-    automaton_union,
     benois_saturate,
     format_group_word,
     generated_subgroup,
@@ -26,7 +32,6 @@ from profinite_kit.freegroup import (
     reduce_word,
     stallings_graph,
     subgroup_contains,
-    word_automaton,
 )
 
 
